@@ -85,7 +85,7 @@ bench-baseline:
 	$(GO) run ./cmd/paperbench -bench-json BENCH_baseline.json -scale 0.1 -workloads bfs,sssp
 
 # Regenerate the committed cluster perf trajectory: a 4-GPU ra cluster
-# at scale 0.5, sequential vs conservative-PDES (see DESIGN.md §12),
+# at scale 0.5, sequential vs parallel fan-out/join (see DESIGN.md §12),
 # recording wall clock and the simulated-cycle makespan checksum.
 bench-cluster-baseline:
 	$(GO) run ./cmd/paperbench -bench-cluster-json BENCH_cluster.json -scale 0.5
@@ -93,27 +93,25 @@ bench-cluster-baseline:
 # Behaviour-drift gate: rerun the Fig. 6/7 sweep (bfs+sssp subset at
 # scale 0.1) and fail if the deterministic simulated-cycle total drifts
 # more than ±2% from the committed baseline; then rerun the 4-GPU
-# cluster in PDES mode against its own checksum (which the sequential
-# run recorded — so this also re-proves sequential/PDES equivalence).
+# cluster in parallel mode against its own checksum (which the
+# sequential run recorded — so this also re-proves sequential/parallel
+# equivalence).
 # Intentional behaviour changes regenerate the baselines with
 # bench-baseline / bench-cluster-baseline.
 bench-smoke:
 	$(GO) run ./cmd/paperbench -bench-compare BENCH_baseline.json -scale 0.1 -workloads bfs,sssp
 	$(GO) run ./cmd/paperbench -bench-cluster-compare BENCH_cluster.json
 
-# Regenerate the committed scale-1.0 snapshot A/B trajectory: the full
-# Fig. 6/7 matrix at paper size with snapshot forking off, then on. The
-# generator hard-fails unless both modes produce identical simulated
-# cycles (forking is byte-identical by construction). Run on an idle
-# machine; the wall-clock pair is the headline perf record.
+# Regenerate the committed scale-1.0 trajectory: the full Fig. 6/7
+# matrix at paper size, timed once, recording its wall clock and
+# simulated-cycle total. Run on an idle machine; the wall clock is the
+# headline perf record.
 bench-scale1:
 	$(GO) run ./cmd/paperbench -bench-scale1-json BENCH_scale1.json
 
-# Gate on the committed snapshot A/B baseline: re-run both modes at the
-# baseline's own scale (1.0 — one sweep each way, so this is the
-# longest single smoke), fail on cycle drift >2%, on any off/on cycle
-# divergence, or when the snapshot mode drops below the wall-time floor
-# against the no-snapshot mode measured in the same process.
+# Scale-1 drift gate: re-run the Fig. 6/7 sweep at the committed
+# baseline's own scale (1.0, so this is the longest single smoke) and
+# fail when its simulated cycles drift more than ±2% from the record.
 bench-scale1-smoke:
 	$(GO) run ./cmd/paperbench -bench-scale1-compare BENCH_scale1.json
 
@@ -166,8 +164,8 @@ bench-cxl-smoke:
 
 # End-to-end smoke of the multi-tenant co-location mode (DESIGN.md §15):
 # three tenants over two GPUs and a pooled CXL tier, run sequentially
-# and under the PDES coordinator — the outputs (including the result
-# checksum) must be byte-identical.
+# and with the per-GPU engines drained on two workers — the outputs
+# (including the result checksum) must be byte-identical.
 colo-smoke:
 	$(GO) run ./cmd/uvmsim -tenants bfs:0:1,ra:0:0,backprop:1:1 -gpus 2 \
 		-cxl-pool-mb 32 -colo-epochs 3 -seed 7 -workers 1 >/tmp/uvmsim-colo-seq.txt
@@ -198,6 +196,5 @@ smoke:
 # convergence gate + staticcheck + govulncheck, build, race-detected
 # tests, the coverage floor, the observability smoke, the tournament
 # smoke, the sweep-service smoke, the co-location smoke + baseline
-# gate, then the bench-smoke drift gate and the scale-1 snapshot A/B
-# gate.
+# gate, then the bench-smoke drift gate and the scale-1 drift gate.
 ci: vet lint lint-fix-check staticcheck govulncheck build race cover smoke tournament-smoke serve-smoke colo-smoke bench-cxl-smoke bench-smoke bench-scale1-smoke

@@ -171,8 +171,8 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 }
 
 // BenchmarkCluster measures the §VIII multi-GPU extension: one 4-GPU ra
-// cluster run per iteration, sequentially and under the
-// conservative-PDES coordinator at GOMAXPROCS workers. The two modes
+// cluster run per iteration, sequentially and in parallel mode at
+// GOMAXPROCS workers. The two modes
 // are byte-identical by design, so the makespan is reported as a custom
 // metric — behaviour drift shows up alongside speed. cmd/paperbench
 // -bench-cluster-json records the same pair at scale 0.5 as

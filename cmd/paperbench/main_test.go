@@ -204,10 +204,9 @@ func TestBenchCompareAgainstFreshBaseline(t *testing.T) {
 	}
 }
 
-// The scale-1 snapshot A/B gate passes against a baseline it just
-// generated (at the baseline's own scale), rejects baselines without
-// the snapshot-on checksum, and records identical simulated cycles for
-// both modes.
+// The scale-1 drift gate passes against a baseline it just generated
+// (at the baseline's own scale) and rejects baselines without the
+// sweep's simulated-cycle checksum.
 func TestBenchScale1CompareAgainstFreshBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -221,16 +220,14 @@ func TestBenchScale1CompareAgainstFreshBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"Fig6And7SnapshotOff", "Fig6And7SnapshotOn"} {
-		if !strings.Contains(string(data), name) {
-			t.Fatalf("suite %s missing result %q:\n%s", path, name, data)
-		}
+	if !strings.Contains(string(data), `"Fig6And7Sweep"`) {
+		t.Fatalf("suite %s missing result %q:\n%s", path, "Fig6And7Sweep", data)
 	}
 	if code, stdout, stderr := runCLI(t, "-bench-scale1-compare", path); code != 0 || !strings.Contains(stdout, "PASS") {
 		t.Fatalf("bench-scale1-compare = %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
-	// A plain fig-sweep baseline carries no snapshot A/B checksum and
-	// must be rejected with a pointer at -bench-scale1-json.
+	// A plain fig-sweep baseline carries no scale-1 checksum and must
+	// be rejected with a pointer at -bench-scale1-json.
 	figPath := filepath.Join(t.TempDir(), "bench.json")
 	if code, _, stderr := runCLI(t, "-bench-json", figPath, "-scale", "0.02", "-workloads", "ra"); code != 0 {
 		t.Fatalf("bench-json failed: %d %q", code, stderr)

@@ -29,30 +29,6 @@ func TestSmokeMode(t *testing.T) {
 	}
 }
 
-// The smoke must pass with snapshot sharing disabled too — the A/B
-// escape hatch cannot change behavior, only execution strategy.
-func TestSmokeModeSnapshotOff(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-smoke", "-workers", "2", "-snapshot", "off")
-	if code != 0 {
-		t.Fatalf("smoke -snapshot=off exited %d: %s%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "PASS") {
-		t.Fatalf("smoke output missing assertions:\n%s", stdout)
-	}
-}
-
-// An unparseable -snapshot value is a usage error: exit 2, before any
-// server or job work happens.
-func TestSnapshotFlagInvalidValue(t *testing.T) {
-	code, _, stderr := runCLI(t, "-smoke", "-snapshot", "maybe")
-	if code != 2 {
-		t.Fatalf("-snapshot=maybe exited %d, want 2 (stderr: %s)", code, stderr)
-	}
-	if !strings.Contains(stderr, "snapshot") {
-		t.Fatalf("stderr does not name the offending flag:\n%s", stderr)
-	}
-}
-
 func TestPrintFigureJob(t *testing.T) {
 	code, stdout, stderr := runCLI(t, "-fig", "fig6", "-scale", "0.05", "-workloads", "bfs,ra", "-print-job")
 	if code != 0 {

@@ -35,7 +35,6 @@ import (
 	"uvmsim/internal/mm"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/resultio"
-	"uvmsim/internal/snapshot"
 	"uvmsim/internal/workloads"
 )
 
@@ -83,8 +82,6 @@ type options struct {
 	traceOut        string
 	traceSample     uint64
 	checkInvariants uint64
-
-	snapshotCheck string
 }
 
 // run parses args and executes one simulation, returning the process
@@ -99,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.scale, "scale", 1.0, "workload scale factor (1.0 = paper size)")
 	fs.Uint64Var(&o.oversub, "oversub", 125, "working set as % of device memory (100 = fits)")
 	fs.IntVar(&o.gpus, "gpus", 1, "cluster size: run the workload bulk-synchronously across this many GPUs (multi-GPU §VIII extension)")
-	fs.IntVar(&o.workers, "workers", 0, "cluster PDES worker threads with -gpus > 1 (0 or 1 = sequential; results are identical either way)")
+	fs.IntVar(&o.workers, "workers", 0, "worker threads draining the per-GPU engines with -gpus > 1 or -tenants (0 or 1 = sequential; results are identical either way)")
 	fs.StringVar(&o.arch, "arch", "pascal", "architecture preset: pascal, volta")
 	fs.StringVar(&o.policy, "policy", "adaptive", "migration policy: disabled, always, oversub, adaptive")
 	fs.Uint64Var(&o.ts, "ts", 8, "static access counter threshold")
@@ -129,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a cycle-stamped timeline trace to this file (.jsonl = compact JSONL, otherwise Chrome trace_event JSON)")
 	fs.Uint64Var(&o.traceSample, "trace-sample", 1, "keep one of every N trace spans (with -trace-out; 1 = all)")
 	fs.Uint64Var(&o.checkInvariants, "check-invariants", 0, "run the cross-component invariant checker every N cycles (0 = off)")
-	fs.StringVar(&o.snapshotCheck, "snapshot-check", "off", "run the simulation twice through the snapshot/fork engine and fail unless the forked run is byte-identical to the scratch run (on|off)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -168,20 +164,6 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	}
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be non-negative, got %d", o.workers)
-	}
-	snapCheck, err := cliutil.ParseOnOff("snapshot-check", o.snapshotCheck)
-	if err != nil {
-		return err
-	}
-	if snapCheck {
-		switch {
-		case o.tenants != "":
-			return fmt.Errorf("-snapshot-check applies to single-GPU runs only (got -tenants)")
-		case o.gpus > 1:
-			return fmt.Errorf("-snapshot-check applies to single-GPU runs only (got -gpus %d)", o.gpus)
-		case o.metricsJSON != "" || o.traceOut != "" || o.checkInvariants != 0:
-			return fmt.Errorf("-snapshot-check cannot run with observability attached (forks reject observed components); drop -metrics-json/-trace-out/-check-invariants")
-		}
 	}
 	if o.tenants != "" {
 		return simulateColocation(o, stdout, stderr)
@@ -305,22 +287,11 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 	} else {
-		var res *uvmsim.Result
-		if snapCheck {
-			var st snapshot.Stats
-			res, st, err = snapshot.SelfCheck(b, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "snapshot-check: OK (forked=%d scratch=%d, %d of %d kernel launches shared)\n",
-				st.Forked, st.Scratch, st.SharedKernels, st.TotalKernels)
-		} else {
-			s := uvmsim.New(b, cfg)
-			s.Observe(suite.NewRun(runName))
-			res, err = runChecked(s)
-			if err != nil {
-				return err
-			}
+		s := uvmsim.New(b, cfg)
+		s.Observe(suite.NewRun(runName))
+		res, err := runChecked(s)
+		if err != nil {
+			return err
 		}
 
 		c := res.Counters
@@ -381,8 +352,9 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 }
 
 // simulateCluster runs the workload bulk-synchronously across o.gpus
-// GPUs — sequentially, or under the conservative-PDES coordinator when
-// -workers > 1 (the two modes produce byte-identical results) — and
+// GPUs — on one shared engine, or with per-GPU engines drained by
+// -workers threads when -workers > 1 (the two modes produce
+// byte-identical results) — and
 // prints the aggregate makespan plus per-GPU metrics.
 func simulateCluster(o options, b *uvmsim.Workload, cfg uvmsim.Config, suite *obs.Suite, runName string, stdout io.Writer) error {
 	cl := uvmsim.NewCluster(b, cfg, o.gpus)

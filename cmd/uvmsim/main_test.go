@@ -54,10 +54,6 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"spansOnCluster", []string{"-gpus", "2", "-spans"}, "single-GPU runs only"},
 		{"jsonOnCluster", []string{"-gpus", "2", "-json", "out.json"}, "single-GPU runs only"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
-		{"snapshotCheckBadValue", []string{"-snapshot-check", "maybe"}, "-snapshot-check"},
-		{"snapshotCheckOnCluster", []string{"-gpus", "2", "-snapshot-check", "on"}, "single-GPU runs only"},
-		{"snapshotCheckWithTenants", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "64", "-snapshot-check", "on"}, "single-GPU runs only"},
-		{"snapshotCheckWithObs", []string{"-snapshot-check", "on", "-metrics-json", "m.json"}, "observability"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,33 +65,6 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 				t.Fatalf("stderr = %q, want substring %q", stderr, tc.wantErr)
 			}
 		})
-	}
-}
-
-// -snapshot-check runs the cell twice through the snapshot/fork engine
-// and fails on divergence; its counters output must be identical to a
-// plain run of the same cell, with only the check line added.
-func TestSnapshotCheckMatchesPlainRun(t *testing.T) {
-	args := []string{"-workload", "ra", "-scale", "0.05", "-oversub", "125"}
-	code, plain, stderr := runCLI(t, args...)
-	if code != 0 {
-		t.Fatalf("plain run exited %d: %s", code, stderr)
-	}
-	code, checked, stderr := runCLI(t, append(args, "-snapshot-check", "on")...)
-	if code != 0 {
-		t.Fatalf("-snapshot-check run exited %d: %s", code, stderr)
-	}
-	if !strings.Contains(checked, "snapshot-check: OK") {
-		t.Fatalf("missing check line:\n%s", checked)
-	}
-	var kept []string
-	for _, line := range strings.Split(checked, "\n") {
-		if !strings.HasPrefix(line, "snapshot-check:") {
-			kept = append(kept, line)
-		}
-	}
-	if strings.Join(kept, "\n") != plain {
-		t.Fatalf("-snapshot-check output diverges from the plain run:\n%s\nvs\n%s", checked, plain)
 	}
 }
 
@@ -202,7 +171,7 @@ func TestTraceJSONLOutput(t *testing.T) {
 }
 
 // A cluster run must print the aggregate makespan line and one stats
-// line per GPU, and the PDES mode (-workers) must print exactly the
+// line per GPU, and the parallel mode (-workers) must print exactly the
 // same simulation results as the sequential default.
 func TestClusterRunOutputsAndWorkerEquivalence(t *testing.T) {
 	args := []string{"-workload", "ra", "-scale", "0.05", "-gpus", "4", "-oversub", "125"}
@@ -223,12 +192,12 @@ func TestClusterRunOutputsAndWorkerEquivalence(t *testing.T) {
 		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
 	}
 	if !strings.Contains(par, "cluster gpus=4 workers=2") {
-		t.Fatalf("missing PDES cluster header:\n%s", par)
+		t.Fatalf("missing parallel cluster header:\n%s", par)
 	}
 	// Everything except the reported worker count — makespan, totals and
 	// every per-GPU counter — must match byte for byte.
 	if got := strings.ReplaceAll(par, "workers=2", "workers=1"); got != seq {
-		t.Fatalf("PDES output diverged from sequential:\nsequential:\n%s\nparallel:\n%s", seq, par)
+		t.Fatalf("parallel output diverged from sequential:\nsequential:\n%s\nparallel:\n%s", seq, par)
 	}
 }
 

@@ -7,9 +7,10 @@
 // (bulk-synchronous execution); every GPU has its own device memory and
 // PCIe link, and its Adaptive threshold responds to local occupancy.
 //
-// With -cluster-workers N > 1 each cluster runs under the conservative
-// parallel discrete-event coordinator (DESIGN.md §12); the results are
-// byte-identical to the sequential default, only wall clock changes.
+// With -cluster-workers N > 1 each GPU gets its own engine and every
+// kernel drains them on N workers before joining at the kernel barrier
+// (DESIGN.md §12); the results are byte-identical to the sequential
+// default, only wall clock changes.
 //
 //	go run ./examples/multigpu-throttling [-workload ra] [-oversub 125] [-cluster-workers 4]
 package main
@@ -25,7 +26,7 @@ func main() {
 	workload := flag.String("workload", "ra", "collaborative workload")
 	oversub := flag.Uint64("oversub", 125, "per-GPU working-set share as % of per-GPU memory")
 	scale := flag.Float64("scale", 0.4, "workload scale factor")
-	clusterWorkers := flag.Int("cluster-workers", 0, "PDES worker threads per cluster run (0 or 1 = sequential; results are identical either way)")
+	clusterWorkers := flag.Int("cluster-workers", 0, "worker threads draining the per-GPU engines of each cluster run (0 or 1 = sequential; results are identical either way)")
 	flag.Parse()
 
 	fmt.Printf("=== %s across GPU clusters at %d%% per-GPU oversubscription ===\n\n", *workload, *oversub)

@@ -81,19 +81,6 @@ func ParseAdvice(s string) (string, error) {
 	}
 }
 
-// ParseOnOff maps an on/off flag value to a bool. name is the flag
-// name used in the error message.
-func ParseOnOff(name, s string) (bool, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "on":
-		return true, nil
-	case "off":
-		return false, nil
-	default:
-		return false, fmt.Errorf("invalid -%s %q (want on or off)", name, s)
-	}
-}
-
 // ParseComponentName validates a registry-backed pipeline component
 // name (see internal/mm) against the registered set. Empty means "use
 // the configuration default" and passes through unchanged; non-empty

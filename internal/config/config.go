@@ -225,10 +225,9 @@ type Config struct {
 	BanditEpochCycles uint64
 
 	// ClusterWorkers bounds the worker threads a multi-GPU cluster run
-	// may use for conservative parallel discrete-event simulation
-	// (internal/multigpu): each GPU+driver node gets its own engine and
-	// nodes advance concurrently up to a lookahead-derived horizon.
-	// Results are byte-identical to the sequential path for every value.
+	// may use (internal/multigpu): each GPU+driver node gets its own
+	// engine, and every kernel drains the node engines concurrently and
+	// joins them at the kernel barrier. Results are byte-identical to the sequential path for every value.
 	// 0 or 1 selects the sequential single-engine path; values above
 	// the cluster size are clamped to it. Single-GPU runs ignore it.
 	ClusterWorkers int

@@ -165,15 +165,6 @@ func (f *File) halveTrips() {
 	}
 }
 
-// Clone returns an independent deep copy of the counter file, used when
-// forking a simulator at a kernel barrier.
-func (f *File) Clone() *File {
-	c := *f
-	c.blocks = make([]entry, len(f.blocks))
-	copy(c.blocks, f.blocks)
-	return &c
-}
-
 // TotalAccesses returns the monotonic number of recorded accesses
 // (unaffected by halving).
 func (f *File) TotalAccesses() uint64 { return f.totalAccesses }

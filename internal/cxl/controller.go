@@ -6,9 +6,9 @@
 // of hot pooled blocks to the GPU that wins the agreement. On top of
 // the controller it runs co-location scenarios — multiple tenants
 // (catalog workloads) sharing GPU device memory with per-tenant page
-// accounting, priority-aware eviction and a fairness metric — under
-// either a sequential barrier loop or the conservative-PDES
-// coordinator from internal/multigpu, byte-identically.
+// accounting, priority-aware eviction and a fairness metric — with the
+// per-GPU engines drained one after another or concurrently,
+// byte-identically.
 //
 // The pool operates at the driver's 64KB basic-block granularity.
 // Controller state is mutated only at epoch barriers, in fixed GPU

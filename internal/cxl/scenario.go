@@ -11,9 +11,9 @@ import (
 	"uvmsim/internal/learn"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/mm"
-	"uvmsim/internal/multigpu"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
+	"uvmsim/internal/sweep"
 	"uvmsim/internal/workloads"
 )
 
@@ -57,8 +57,9 @@ type ScenarioConfig struct {
 	// Seed drives every tenant's stream generator. Equal seeds produce
 	// byte-identical runs at any worker count.
 	Seed uint64
-	// Workers selects execution: 0/1 sequential, >=2 the conservative
-	// PDES coordinator (clamped to GPUs).
+	// Workers selects execution: 0/1 drains the GPU engines one after
+	// another, >=2 drains them concurrently on that many workers
+	// (clamped to GPUs).
 	Workers int
 }
 
@@ -116,9 +117,7 @@ func (sc *ScenarioConfig) normalize() error {
 	if sc.AccessesPerEpoch == 0 {
 		sc.AccessesPerEpoch = DefaultAccessesPerEpoch
 	}
-	if sc.Workers > sc.GPUs {
-		sc.Workers = sc.GPUs
-	}
+	sc.Workers = max(1, min(sc.Workers, sc.GPUs))
 	return nil
 }
 
@@ -173,6 +172,7 @@ type Scenario struct {
 	cfg     ScenarioConfig
 	ctl     *Controller
 	engines []*sim.Engine
+	drains  []func() sim.Cycle // each engine's Run, for sweep.Parallel
 	// Per-GPU private links: PCIe to the host fabric and the CXL port
 	// into the pool.
 	fabrics []*interconnect.Fabric
@@ -212,6 +212,7 @@ func NewScenario(sc ScenarioConfig) (*Scenario, error) {
 	for g := 0; g < sc.GPUs; g++ {
 		eng := sim.NewEngine()
 		s.engines[g] = eng
+		s.drains = append(s.drains, eng.Run)
 		f := interconnect.NewFabric()
 		f.Add("pcie", interconnect.New(eng, sc.Cfg.PCIeBytesPerCycle, sim.Cycle(sc.Cfg.PCIeLatency), sc.Cfg.PCIeHeaderBytes, sc.Cfg.RemoteWirePenalty))
 		f.Add("cxl", interconnect.NewCXL(eng, sc.Cfg.CXLPortBytesPerCycle(), sim.Cycle(sc.Cfg.CXLPortLatency()), 0))
@@ -295,10 +296,9 @@ func (t *tenant) nextBlock(shared uint64) (block uint64, write bool) {
 }
 
 // runEpochStreams schedules every tenant stream of every GPU and drains
-// the engines — sequentially or through the coordinator. During the
-// drain, controller state is frozen: accesses read it and append to
-// per-GPU logs only.
-func (s *Scenario) runEpochStreams(co *multigpu.Coordinator) {
+// the engines. During the drain, controller state is frozen: accesses
+// read it and append to per-GPU logs only.
+func (s *Scenario) runEpochStreams() {
 	for g := range s.engines {
 		gpu := g
 		for _, t := range s.byGPU[g] {
@@ -348,26 +348,19 @@ func (s *Scenario) runEpochStreams(co *multigpu.Coordinator) {
 			s.engines[gpu].At(s.engines[gpu].Now()+computeGap, step)
 		}
 	}
-	s.drain(co)
+	s.drain()
 }
 
-// drain empties every engine, in index order sequentially or
-// concurrently under the coordinator, then aligns all clocks to the
-// barrier (the max engine clock), exactly like the multigpu kernel
-// barrier.
-func (s *Scenario) drain(co *multigpu.Coordinator) {
-	if co != nil {
-		co.Drain()
-	} else {
-		for _, e := range s.engines {
-			e.Run()
-		}
-	}
+// drain empties every engine — fanned out to cfg.Workers workers, which
+// is safe because GPUs interact only through the controller, and the
+// controller changes only at epoch barriers — then aligns all clocks to
+// the barrier (the max engine clock), exactly like the multigpu kernel
+// barrier. sweep.Parallel joins its workers before returning and
+// re-panics a worker's panic here.
+func (s *Scenario) drain() {
 	var barrier sim.Cycle
-	for _, e := range s.engines {
-		if e.Now() > barrier {
-			barrier = e.Now()
-		}
+	for _, now := range sweep.Parallel(s.drains, s.cfg.Workers) {
+		barrier = max(barrier, now)
 	}
 	for _, e := range s.engines {
 		e.AdvanceTo(barrier)
@@ -376,23 +369,9 @@ func (s *Scenario) drain(co *multigpu.Coordinator) {
 
 // Run executes the scenario and returns its deterministic result.
 func (s *Scenario) Run() (*Result, error) {
-	var co *multigpu.Coordinator
-	if s.cfg.Workers >= 2 {
-		la := sim.Cycle(1)
-		for _, f := range s.fabrics {
-			if l := f.Lookahead(); l > la {
-				la = l
-			}
-		}
-		// Streams never interact inside an epoch, so any positive
-		// lookahead is safe; 2x the slowest link mirrors multigpu.
-		co = multigpu.NewCoordinator(s.engines, s.cfg.Workers, 2*la)
-		co.Start()
-		defer co.Stop()
-	}
 	var actions []barrierAction
 	for epoch := 0; epoch < s.cfg.Epochs; epoch++ {
-		s.runEpochStreams(co)
+		s.runEpochStreams()
 		// Barrier: apply logs in fixed GPU order, then charge the
 		// decided transfers and re-drain so DMA completions settle
 		// before the next epoch's streams start.
@@ -411,7 +390,7 @@ func (s *Scenario) Run() (*Result, error) {
 			link.Transfer(interconnect.HostToDevice, memunits.BlockSize, nil)
 		}
 		if len(actions) > 0 {
-			s.drain(co)
+			s.drain()
 		}
 		if err := s.ctl.check(); err != nil {
 			return nil, err

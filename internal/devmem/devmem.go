@@ -38,13 +38,6 @@ func New(capacityBytes uint64) *Memory {
 	return &Memory{totalPages: capacityBytes / memunits.PageSize}
 }
 
-// Clone returns an independent copy of the accounting state, used when
-// forking a simulator at a kernel barrier.
-func (m *Memory) Clone() *Memory {
-	c := *m
-	return &c
-}
-
 // TotalPages returns the capacity in 4KB pages.
 func (m *Memory) TotalPages() uint64 { return m.totalPages }
 

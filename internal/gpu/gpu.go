@@ -11,7 +11,6 @@
 package gpu
 
 import (
-	"errors"
 	"fmt"
 
 	"uvmsim/internal/config"
@@ -509,29 +508,4 @@ func (g *GPU) finish() {
 	if g.onDone != nil {
 		g.onDone(g.eng.Now())
 	}
-}
-
-// CloneFor returns an independent copy of the GPU attached to eng and
-// mem (the forked driver), used when forking a simulator at a kernel
-// barrier. Only valid between kernels: with no kernel running every
-// warp and CTA has retired, so the pools are cold state and the sole
-// surviving execution state is each SM's issue-port horizon (freeAt).
-func (g *GPU) CloneFor(eng *sim.Engine, cfg config.Config, mem MemoryBackend, st *stats.Counters) (*GPU, error) {
-	if g.running {
-		return nil, errors.New("gpu: clone while a kernel is running")
-	}
-	if g.obsOn {
-		return nil, errors.New("gpu: clone with observability attached")
-	}
-	if cfg.NumSMs != g.cfg.NumSMs {
-		return nil, errors.New("gpu: clone must preserve the SM count")
-	}
-	ng := New(eng, cfg, mem, st)
-	for i := range g.sms {
-		if g.sms[i].residentCTAs != 0 || g.sms[i].residentWarps != 0 {
-			return nil, fmt.Errorf("gpu: clone with SM %d occupied", i)
-		}
-		ng.sms[i].freeAt = g.sms[i].freeAt
-	}
-	return ng, nil
 }

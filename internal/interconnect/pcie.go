@@ -82,20 +82,6 @@ func New(eng *sim.Engine, bytesPerCycle float64, latency sim.Cycle, headerBytes 
 	return l
 }
 
-// CloneFor returns an independent copy of the link — wire occupancy and
-// per-direction statistics included — attached to eng, used when
-// forking a simulator at a kernel barrier. No transfer may be in
-// flight: completions are engine events and a fork point is drained by
-// definition, so only freeAt and the stats carry over.
-func (l *Link) CloneFor(eng *sim.Engine) *Link {
-	c := *l
-	c.eng = eng
-	for i := range c.chans {
-		c.chans[i].eng = eng
-	}
-	return &c
-}
-
 // occupancy returns the wire time for n bytes, at least one cycle.
 func (c *channel) occupancy(n uint64) sim.Cycle {
 	cycles := sim.Cycle(float64(n) / c.bytesPerCycle)
@@ -149,24 +135,6 @@ func (l *Link) RemoteAccess(dir Direction, payload uint64, done func()) sim.Cycl
 	}
 	wire := uint64(float64(payload+l.headerBytes) * l.remotePenalty)
 	return l.chans[dir].transfer(payload, wire, done)
-}
-
-// Lookahead returns the minimum number of cycles that must elapse
-// between initiating a transfer on this link and its completion
-// becoming visible on the far side: the smaller directional initiation
-// latency plus the one-cycle minimum wire occupancy. This is the
-// model's cross-partition interaction delay, which conservative PDES
-// uses to derive its safe horizon — no GPU can be affected by host
-// memory (and hence, transitively, by any other GPU) sooner than one
-// link traversal from now, so all partitions may advance at least this
-// far beyond the earliest pending event without risking a causality
-// violation.
-func (l *Link) Lookahead() sim.Cycle {
-	min := l.chans[HostToDevice].latency
-	if l.chans[DeviceToHost].latency < min {
-		min = l.chans[DeviceToHost].latency
-	}
-	return min + 1 // occupancy() never returns less than one cycle
 }
 
 // FreeAt reports when the given direction's wire next becomes idle.

@@ -4,7 +4,7 @@
 // different rounding, so an accumulator fed from a range-over-map loop
 // or a channel-receive loop drifts run to run even though every input
 // is identical. In this repository such drift breaks byte-identical
-// goldens, the PDES sequential-equivalence property and the simd
+// goldens, the parallel-cluster equivalence property and the simd
 // content-addressed cache.
 //
 // Two shapes are reported inside an unordered loop (range over a map or

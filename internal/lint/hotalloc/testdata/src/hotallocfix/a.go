@@ -84,7 +84,7 @@ func (r *ring) constConcatOK() string {
 	return pre + "b" // constant-folded: no run-time allocation
 }
 
-// chanSyncOK is the PDES coordinator's worker-loop shape: ranging over
+// chanSyncOK is a worker-pool loop shape: ranging over
 // a command channel and handing back struct{}{} completion tokens.
 // Channel operations and bare struct composite-literal *values* (not
 // slice/map literals, not address-of) allocate nothing and stay clean.

@@ -16,8 +16,8 @@
 // closes the remaining gap: a CLI may legitimately read the wall clock
 // to time itself, but the moment that value flows into a result file
 // or a cache key — however many helper functions deep — determinism is
-// gone and every golden, the PDES equivalence property and the simd
-// content-addressed cache silently rot.
+// gone and every golden, the parallel-cluster equivalence property and
+// the simd content-addressed cache silently rot.
 //
 // A function returning a slice built by appending inside a
 // range-over-map loop is additionally flagged at the loop (unless the

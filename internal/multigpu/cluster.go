@@ -13,11 +13,10 @@
 // paper wants to study.
 //
 // By default all replicas share one discrete-event engine and the run
-// is single-threaded. When cfg.ClusterWorkers > 1 the cluster instead
-// runs in conservative parallel discrete-event (PDES) mode — one engine
-// per GPU+driver node, advanced concurrently up to a lookahead-derived
-// horizon (see pdes.go) — producing byte-identical results at a
-// fraction of the wall-clock time.
+// is single-threaded. When cfg.ClusterWorkers > 1 each GPU+driver node
+// instead owns its engine, and every kernel fans the node engines out
+// to that many workers and joins them at the kernel barrier (see
+// parallel.go), producing byte-identical results.
 //
 // Host-side coherence between GPUs is not modelled: collaborative
 // workloads partition their writes, and the policies under study see
@@ -42,105 +41,116 @@ import (
 const eventBudget = 4_000_000_000
 
 // node is one GPU with its private UVM driver. In sequential mode every
-// node's eng field aliases the cluster's shared engine; in PDES mode
-// each node owns its engine and all of the node's mutable simulation
-// state (driver, GPU, engine) is touched by exactly one worker at a
-// time (see pdes.go for the synchronization argument).
+// node's eng field aliases the cluster's shared engine; in parallel mode
+// each node owns its engine, and all of the node's mutable simulation
+// state (engine, driver, GPU, checker) is touched by exactly one
+// goroutine at a time (see parallel.go).
 type node struct {
 	eng *sim.Engine
 	drv *uvm.Driver
 	g   *gpu.GPU
 
-	// Per-kernel bulk-synchronous bookkeeping (PDES mode): launched is
-	// set by the coordinator at launch time, finished by the kernel's
-	// completion event on whichever worker drains this node.
+	// ck is the node's invariant checker (nil when observability is
+	// off); checks counts its periodic sweeps.
+	ck     *obs.Checker
+	checks uint64
+
+	// Per-kernel bulk-synchronous bookkeeping (parallel mode): launched
+	// is set at launch time, finished by the kernel's completion event
+	// on whichever worker drains this node.
 	launched bool
 	finished bool
 }
 
-// onKernelDone is the prebound kernel-completion callback (PDES mode).
+// onKernelDone is the prebound kernel-completion callback (parallel
+// mode).
 func (n *node) onKernelDone(sim.Cycle) { n.finished = true }
+
+// check runs the node's invariant checker at the current cycle,
+// panicking with a cycle-stamped *obs.Violation on the first breach.
+func (n *node) check() {
+	n.checks++
+	if err := n.ck.RunAll(uint64(n.eng.Now())); err != nil {
+		panic(err)
+	}
+}
 
 // Cluster runs one workload across several GPUs.
 type Cluster struct {
-	eng   *sim.Engine // shared engine; nil when par drives per-node engines
-	par   *Coordinator
-	nodes []*node
-	built *workloads.Built
-	cfg   config.Config
-
-	// Observability (see Observe); zero when disabled.
-	checkers   []*obs.Checker
-	checkEvery uint64
+	eng     *sim.Engine // shared engine; nil when every node owns its engine
+	workers int         // parallel fan-out width; 1 in sequential mode
+	nodes   []*node
+	drains  []func() sim.Cycle // parallel mode: each node engine's Run
+	built   *workloads.Built
 }
 
-// Workers reports the PDES worker count the cluster will use (1 =
+// Workers reports the worker count the cluster will use (1 =
 // sequential single-engine mode).
-func (c *Cluster) Workers() int {
-	if c.par == nil {
-		return 1
-	}
-	return c.par.workers
-}
+func (c *Cluster) Workers() int { return c.workers }
 
 // Observe attaches per-GPU observability: mk is called once per GPU and
-// may return nil to skip that GPU. A shared CheckEvery (the maximum over
-// the returned runs) drives one cluster-wide invariant sweep that walks
-// every driver's consistency check, panicking with a cycle-stamped
-// *obs.Violation on the first breach. In sequential mode the sweep
-// rides on the engine daemon; in PDES mode it runs at horizon
-// boundaries, with every worker parked, in fixed node order. Call
-// before Run.
+// may return nil to skip that GPU. Each observed GPU gets an invariant
+// checker that walks its driver's consistency check, panicking with a
+// cycle-stamped *obs.Violation on the first breach, at a shared period
+// (the maximum CheckEvery over the returned runs). In sequential mode
+// one sweep over every checker, in fixed node order, rides on the
+// shared engine daemon; in parallel mode each checker rides on its own
+// node engine's daemon, so it only ever walks state its worker owns.
+// Call before Run.
 func (c *Cluster) Observe(mk func(gpuIdx int) *obs.Run) {
-	c.checkers = nil
-	c.checkEvery = 0
-	if c.eng != nil {
-		c.eng.SetDaemon(0, nil)
-	} else {
-		c.par.SetSweep(0, nil)
-	}
+	var checkEvery uint64
 	for idx, n := range c.nodes {
+		n.ck = nil
+		n.eng.SetDaemon(0, nil)
 		r := mk(idx)
 		n.drv.SetObs(r)
 		n.g.SetObs(r)
 		if !r.Enabled() {
 			continue
 		}
-		if r.CheckEvery > c.checkEvery {
-			c.checkEvery = r.CheckEvery
-		}
+		checkEvery = max(checkEvery, r.CheckEvery)
 		if r.Reg != nil {
 			r.Reg.RegisterProvider(func(e obs.Emitter) {
 				// Cluster-wide totals, identical between the sequential
-				// and PDES modes: the barrier clock and the union of
+				// and parallel modes: the barrier clock and the union of
 				// every node's event stream.
 				e.Counter("sim.cycles", c.clusterNow())
 				e.Counter("sim.events_fired", c.clusterFired())
 			})
-			if c.par != nil {
-				c.par.Publish(r.Reg)
-			}
 		}
-		ck := &obs.Checker{}
-		drv := n.drv
-		ck.Add(fmt.Sprintf("gpu%d-driver-consistency", idx), drv.CheckConsistencyMidRun)
-		c.checkers = append(c.checkers, ck)
+		n.ck = &obs.Checker{}
+		n.ck.Add(fmt.Sprintf("gpu%d-driver-consistency", idx), n.drv.CheckConsistencyMidRun)
 	}
-	if c.checkEvery == 0 {
+	if checkEvery == 0 {
 		return
 	}
+	// Daemons observe state at real event boundaries and never extend
+	// the run, so checking cannot change results.
+	every := sim.Cycle(checkEvery)
 	if c.eng != nil {
-		// The sweep rides on the engine daemon so it observes every
-		// driver at real event boundaries and never extends the run.
-		c.eng.SetDaemon(sim.Cycle(c.checkEvery), c.checkTick)
-	} else {
-		c.par.SetSweep(sim.Cycle(c.checkEvery), c.checkSweep)
+		c.eng.SetDaemon(every, c.checkAll)
+		return
+	}
+	for _, n := range c.nodes {
+		if n.ck != nil {
+			n.eng.SetDaemon(every, n.check)
+		}
+	}
+}
+
+// checkAll is the sequential-mode invariant sweep: every node's checker
+// in fixed node order.
+func (c *Cluster) checkAll() {
+	for _, n := range c.nodes {
+		if n.ck != nil {
+			n.check()
+		}
 	}
 }
 
 // clusterNow returns the cluster-wide clock: the shared engine's in
-// sequential mode, the latest node clock in PDES mode (after a run all
-// node clocks sit on the final barrier, so this is the makespan).
+// sequential mode, the latest node clock in parallel mode (after a run
+// all node clocks sit on the final barrier, so this is the makespan).
 func (c *Cluster) clusterNow() uint64 {
 	if c.eng != nil {
 		return uint64(c.eng.Now())
@@ -155,7 +165,7 @@ func (c *Cluster) clusterNow() uint64 {
 }
 
 // clusterFired returns the total events fired across the cluster. The
-// per-node engines of PDES mode fire exactly the events the shared
+// per-node engines of parallel mode fire exactly the events the shared
 // engine fires sequentially, so the sum matches eng.Fired() there.
 func (c *Cluster) clusterFired() uint64 {
 	if c.eng != nil {
@@ -166,20 +176,6 @@ func (c *Cluster) clusterFired() uint64 {
 		sum += n.eng.Fired()
 	}
 	return sum
-}
-
-// checkTick is the cluster-wide invariant sweep, driven by the engine
-// daemon (sequential mode).
-func (c *Cluster) checkTick() { c.checkSweep(c.eng.Now()) }
-
-// checkSweep walks every checker in fixed node order, stamping
-// violations with the given cycle.
-func (c *Cluster) checkSweep(now sim.Cycle) {
-	for _, ck := range c.checkers {
-		if err := ck.RunAll(uint64(now)); err != nil {
-			panic(err)
-		}
-	}
 }
 
 // Result aggregates a cluster run.
@@ -211,7 +207,7 @@ func (r *Result) TotalRemoteAccesses() uint64 {
 
 // New creates a cluster of nGPUs over the workload. cfg.DeviceMemBytes
 // is the per-GPU memory capacity. cfg.ClusterWorkers > 1 selects the
-// conservative-PDES execution mode (pdes.go); results are byte-identical
+// parallel execution mode (parallel.go); results are byte-identical
 // either way.
 func New(b *workloads.Built, cfg config.Config, nGPUs int) *Cluster {
 	if nGPUs < 1 {
@@ -220,33 +216,20 @@ func New(b *workloads.Built, cfg config.Config, nGPUs int) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("multigpu: %v", err))
 	}
-	c := &Cluster{built: b, cfg: cfg}
-	workers := cfg.ClusterWorkers
-	if workers > nGPUs {
-		workers = nGPUs
+	c := &Cluster{built: b, workers: 1}
+	if cfg.ClusterWorkers > 1 && nGPUs > 1 {
+		c.workers = min(cfg.ClusterWorkers, nGPUs)
+	} else {
+		c.eng = sim.NewEngine()
+		c.eng.SetEventBudget(eventBudget)
 	}
-	if workers > 1 {
-		// PDES mode: one engine per node, advanced concurrently.
-		for i := 0; i < nGPUs; i++ {
-			eng := sim.NewEngine()
-			eng.SetEventBudget(eventBudget)
-			drv := uvm.New(eng, cfg, b.Space)
-			c.nodes = append(c.nodes, &node{eng: eng, drv: drv, g: gpu.New(eng, cfg, drv, drv.Stats())})
-		}
-		// The safe horizon extends one host-memory round trip (two link
-		// traversals) beyond the earliest pending event: no node can
-		// observe another's activity any sooner. A zero lookahead would
-		// force lockstep, so it falls back to the sequential path.
-		if la := 2 * c.nodes[0].drv.Link().Lookahead(); la > 0 {
-			c.par = newCoordinator(c.nodes, workers, la)
-			return c
-		}
-		c.nodes = nil
-	}
-	eng := sim.NewEngine()
-	eng.SetEventBudget(eventBudget)
-	c.eng = eng
 	for i := 0; i < nGPUs; i++ {
+		eng := c.eng
+		if eng == nil {
+			eng = sim.NewEngine()
+			eng.SetEventBudget(eventBudget)
+			c.drains = append(c.drains, eng.Run)
+		}
 		drv := uvm.New(eng, cfg, b.Space)
 		c.nodes = append(c.nodes, &node{eng: eng, drv: drv, g: gpu.New(eng, cfg, drv, drv.Stats())})
 	}
@@ -276,25 +259,27 @@ func splitKernel(k gpu.Kernel, nGPUs, idx int) (gpu.Kernel, bool) {
 }
 
 // Run executes the workload bulk-synchronously and returns the result.
-// It is the composition of the stepwise API (snapshot.go): one
-// RunKernel per kernel, then Finish.
+// Every kernel launches each GPU's CTA share and completes only after
+// the whole cluster drains (the kernel barrier).
 func (c *Cluster) Run() *Result {
-	for i := range c.built.Kernels {
-		c.RunKernel(i)
+	for _, k := range c.built.Kernels {
+		if c.eng == nil {
+			c.runKernelParallel(k)
+		} else {
+			c.runKernelShared(k)
+		}
 	}
-	return c.Finish()
+	if c.eng == nil {
+		// Every node clock already sits on the last kernel barrier.
+		return c.finish(sim.Cycle(c.clusterNow()))
+	}
+	c.eng.Run() // drain trailing prefetch transfers
+	return c.finish(c.eng.Now())
 }
 
-// RunKernel runs kernel i bulk-synchronously across the GPUs: every
-// GPU launches its CTA share, and the call returns only after the
-// whole cluster drains (the kernel barrier). Kernels must run in
-// order; interleave Fork calls between them to snapshot at barriers.
-func (c *Cluster) RunKernel(i int) {
-	k := c.built.Kernels[i]
-	if c.par != nil {
-		c.runKernelParallel(k)
-		return
-	}
+// runKernelShared runs one kernel on the shared engine (sequential
+// mode), interleaving every GPU's event stream by (cycle, seq).
+func (c *Cluster) runKernelShared(k gpu.Kernel) {
 	remaining := 0
 	for idx, n := range c.nodes {
 		sub, ok := splitKernel(k, len(c.nodes), idx)
@@ -310,24 +295,8 @@ func (c *Cluster) RunKernel(i int) {
 	}
 }
 
-// Finish validates quiescence, collects the per-GPU counters and
-// finalizes the drivers. Call once, after the last RunKernel.
-func (c *Cluster) Finish() *Result {
-	if c.eng != nil {
-		c.eng.Run() // drain trailing prefetch transfers
-		return c.finish(c.eng.Now())
-	}
-	var barrier sim.Cycle
-	for _, n := range c.nodes {
-		if n.eng.Now() > barrier {
-			barrier = n.eng.Now()
-		}
-	}
-	return c.finish(barrier)
-}
-
 // finish validates quiescence and collects the per-GPU counters; shared
-// by the sequential and PDES paths, which by construction reach it with
+// by the sequential and parallel paths, which by construction reach it with
 // identical driver states and makespan.
 func (c *Cluster) finish(makespan sim.Cycle) *Result {
 	res := &Result{Cycles: uint64(makespan)}

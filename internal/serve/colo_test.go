@@ -46,7 +46,7 @@ func TestColoJobRoundTripMatchesDirectRun(t *testing.T) {
 
 	// Reproduce the first entry directly.
 	req := smallColoJob("direct")
-	_, colos, err := req.expand()
+	_, colos, err := req.expand(4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"uvmsim/internal/config"
 	"uvmsim/internal/cxl"
 	"uvmsim/internal/mm"
+	"uvmsim/internal/satmath"
 	"uvmsim/internal/workloads"
 )
 
@@ -86,9 +87,9 @@ type CellSpec struct {
 
 // ColoSpec is one explicit co-location cell: a tenant mix co-scheduled
 // over the pooled CXL tier under one pool policy. The run is
-// deterministic (the PDES-equivalence property makes the worker count
-// irrelevant, so the service always executes it sequentially) and the
-// cache key covers everything behaviour-visible.
+// deterministic (results are identical at any worker count, so the
+// service always executes it sequentially) and the cache key covers
+// everything behaviour-visible.
 type ColoSpec struct {
 	// Tenants is the co-scheduled mix in cxl.ParseTenants syntax:
 	// "workload:gpu:priority" entries separated by commas.
@@ -133,6 +134,51 @@ type coloCell struct {
 // oversubscription point.
 var defaultOversubPercents = []uint64{125}
 
+// matrixDims returns the matrix dimensions after defaulting; the
+// matrix is empty when Workloads is.
+func (r *JobRequest) matrixDims(base config.Config) (pcts []uint64, policies []string, pipelines []config.PipelineSpec, seeds []uint64) {
+	pcts = r.OversubPercents
+	if len(pcts) == 0 {
+		pcts = defaultOversubPercents
+	}
+	policies = r.Policies
+	if len(policies) == 0 {
+		policies = []string{"adaptive"}
+	}
+	pipelines = r.Pipelines
+	if len(pipelines) == 0 {
+		pipelines = []config.PipelineSpec{{}}
+	}
+	seeds = r.Seeds
+	if len(seeds) == 0 {
+		seeds = []uint64{base.PolicySeed}
+	}
+	return pcts, policies, pipelines, seeds
+}
+
+// baseConfig returns the job-level base configuration.
+func (r *JobRequest) baseConfig() config.Config {
+	if r.Base != nil {
+		return *r.Base
+	}
+	return config.Default()
+}
+
+// cellCount returns the number of units the request expands to,
+// computed from the list lengths alone (saturating, so an absurd
+// cross-product cannot wrap to a small number).
+func (r *JobRequest) cellCount() uint64 {
+	var n uint64
+	if len(r.Workloads) > 0 {
+		pcts, policies, pipelines, seeds := r.matrixDims(r.baseConfig())
+		n = uint64(len(r.Workloads))
+		for _, d := range []int{len(pcts), len(policies), len(pipelines), len(seeds)} {
+			n = satmath.Mul(n, uint64(d))
+		}
+	}
+	return satmath.Add(n, uint64(len(r.Cells))+uint64(len(r.Colo)))
+}
+
 // cells validates the request and expands it into its deterministic
 // cell list.
 func (r *JobRequest) cells() ([]cell, error) {
@@ -143,29 +189,11 @@ func (r *JobRequest) cells() ([]cell, error) {
 	if scale < 0 {
 		return nil, fmt.Errorf("serve: scale %v must be positive", r.Scale)
 	}
-	base := config.Default()
-	if r.Base != nil {
-		base = *r.Base
-	}
+	base := r.baseConfig()
 
 	var cells []cell
 	if len(r.Workloads) > 0 {
-		pcts := r.OversubPercents
-		if len(pcts) == 0 {
-			pcts = defaultOversubPercents
-		}
-		policies := r.Policies
-		if len(policies) == 0 {
-			policies = []string{"adaptive"}
-		}
-		pipelines := r.Pipelines
-		if len(pipelines) == 0 {
-			pipelines = []config.PipelineSpec{{}}
-		}
-		seeds := r.Seeds
-		if len(seeds) == 0 {
-			seeds = []uint64{base.PolicySeed}
-		}
+		pcts, policies, pipelines, seeds := r.matrixDims(base)
 		for _, w := range r.Workloads {
 			for _, pct := range pcts {
 				for _, polName := range policies {
@@ -213,10 +241,7 @@ func (r *JobRequest) cells() ([]cell, error) {
 
 // coloCells validates and resolves the request's co-location cells.
 func (r *JobRequest) coloCells() ([]coloCell, error) {
-	base := config.Default()
-	if r.Base != nil {
-		base = *r.Base
-	}
+	base := r.baseConfig()
 	var cells []coloCell
 	for i, spec := range r.Colo {
 		b := base
@@ -266,8 +291,8 @@ func (r *JobRequest) coloCells() ([]coloCell, error) {
 				Epochs:  spec.Epochs,
 				Seed:    spec.Seed,
 				// The service always runs co-location cells sequentially;
-				// the PDES-equivalence property makes results identical at
-				// any worker count, so Workers must not split cache keys.
+				// results are identical at any worker count, so Workers
+				// must not split cache keys.
 				Workers: 1,
 			},
 			policy:  pol.Name(),
@@ -278,8 +303,14 @@ func (r *JobRequest) coloCells() ([]coloCell, error) {
 }
 
 // expand validates the request and resolves it into its deterministic
-// unit lists: workload cells followed by co-location cells.
-func (r *JobRequest) expand() ([]cell, []coloCell, error) {
+// unit lists: workload cells followed by co-location cells. A request
+// expanding to more than maxCells units is rejected before any cell is
+// materialized, so a small request naming a huge cross-product costs
+// no memory.
+func (r *JobRequest) expand(maxCells int) ([]cell, []coloCell, error) {
+	if n := r.cellCount(); n > uint64(maxCells) {
+		return nil, nil, fmt.Errorf("serve: job expands to %d cells (limit %d)", n, maxCells)
+	}
 	cells, err := r.cells()
 	if err != nil {
 		return nil, nil, err

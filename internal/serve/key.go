@@ -62,7 +62,7 @@ type coloKeyDoc struct {
 // cell.
 func ColoKey(gpus int, tenants []string, epochs int, seed uint64, derived config.Config) string {
 	// Worker count never changes a co-location result (the scenarios are
-	// byte-identical under the PDES coordinator at any worker count), so
+	// byte-identical at any worker count), so
 	// it must not split the key space.
 	derived.ClusterWorkers = 0
 	doc, err := json.Marshal(coloKeyDoc{
@@ -84,7 +84,7 @@ func ColoKey(gpus int, tenants []string, epochs int, seed uint64, derived config
 // CellKey returns the canonical content address for one cell: the
 // hex-encoded SHA-256 of the canonical key document.
 func CellKey(workload string, scale float64, oversubPercent uint64, derived config.Config) string {
-	// ClusterWorkers selects PDES worker counts for multi-GPU runs and
+	// ClusterWorkers selects the worker count of multi-GPU runs and
 	// is ignored by the single-GPU cells the service executes; results
 	// are identical for every value, so it must not split the key space.
 	derived.ClusterWorkers = 0

@@ -49,7 +49,7 @@ func TestCellKeyDeterministicAndSensitive(t *testing.T) {
 	piped.MMPipeline = config.PipelineSpec{Planner: "threshold"}
 	add("pipeline", CellKey("bfs", 0.05, 125, core.DeriveConfig(b, 1, 125, config.PolicyAdaptive, piped)))
 
-	// ClusterWorkers tunes multi-GPU PDES execution only; single-GPU
+	// ClusterWorkers tunes multi-GPU execution only; single-GPU
 	// cells are identical for every value, so it must not split keys.
 	cw := cfg
 	cw.ClusterWorkers = 8

@@ -14,7 +14,7 @@ import (
 // matrix is enumerated from the mm registry, so a newly registered stage
 // is property-tested the moment it exists. CI runs this under -race,
 // where the ClusterWorkers variant below additionally drags the learned
-// stages through the PDES worker pool.
+// stages through the parallel cluster's worker pool.
 func TestPipelineCombinationsDeterministic(t *testing.T) {
 	for _, planner := range mm.PlannerNames() {
 		for _, governor := range mm.PrefetchGovernorNames() {
@@ -48,8 +48,8 @@ func TestPipelineCombinationsDeterministic(t *testing.T) {
 
 // TestLearnedPipelineDeterministicInCluster repeats the determinism
 // property for the learned stages inside a parallel multi-GPU cluster:
-// with ClusterWorkers=2 the PDES scheduler interleaves node execution
-// across threads, and the learned planners' per-driver state must stay
+// with ClusterWorkers=2 the node engines drain on concurrent worker
+// threads, and the learned planners' per-driver state must stay
 // isolated — any cross-driver sharing shows up as a counter diff here
 // (and as a data race under -race).
 func TestLearnedPipelineDeterministicInCluster(t *testing.T) {
@@ -68,10 +68,10 @@ func TestLearnedPipelineDeterministicInCluster(t *testing.T) {
 			if again := run(2); again != parallel {
 				t.Fatalf("parallel cluster runs differ:\n%s\n%s", parallel, again)
 			}
-			// The PDES path must also agree with the sequential path —
+			// The parallel path must also agree with the sequential path —
 			// the cluster's standing byte-identical equivalence claim.
 			if sequential := run(0); sequential != parallel {
-				t.Fatalf("sequential and PDES cluster runs differ:\n%s\n%s", sequential, parallel)
+				t.Fatalf("sequential and parallel cluster runs differ:\n%s\n%s", sequential, parallel)
 			}
 		})
 	}

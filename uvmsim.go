@@ -179,16 +179,16 @@ type (
 
 // NewCluster creates a cluster of nGPUs over the workload
 // (cfg.DeviceMemBytes is per-GPU capacity). With cfg.ClusterWorkers > 1
-// the cluster runs under the conservative parallel discrete-event
-// coordinator (DESIGN.md §12), producing byte-identical results to the
-// sequential default.
+// every GPU gets its own engine and each kernel drains them on that
+// many workers before joining at the kernel barrier (DESIGN.md §12),
+// producing byte-identical results to the sequential default.
 func NewCluster(w *Workload, cfg Config, nGPUs int) *Cluster {
 	return multigpu.New(w, cfg, nGPUs)
 }
 
 // RunCluster builds and runs the named workload on nGPUs, sizing each
 // GPU's memory so its share of the working set is oversubPercent of
-// capacity. cfg.ClusterWorkers selects sequential or PDES execution as
+// capacity. cfg.ClusterWorkers selects sequential or parallel execution as
 // in NewCluster.
 func RunCluster(name string, scale float64, nGPUs int, oversubPercent uint64, pol MigrationPolicy, base Config) *ClusterResult {
 	return multigpu.RunWorkload(name, scale, nGPUs, oversubPercent, pol, base)
