@@ -125,12 +125,12 @@ figures:
 tournament:
 	$(GO) run ./cmd/paperbench -tournament -scale 0.3 -tournament-out BENCH_tournament.json
 
-# Fast tournament slice for CI: two planners (static vs learned) over
-# two workloads at a small scale, proving the harness end to end
-# without the full matrix cost.
+# Fast tournament slice for CI: both planners (static threshold vs
+# thrash-guard) over two workloads at a small scale, proving the harness
+# end to end without the full matrix cost.
 tournament-smoke:
 	$(GO) run ./cmd/paperbench -tournament -scale 0.05 -workloads bfs,ra \
-		-tournament-planners threshold,reuse-dist -tournament-out -
+		-tournament-planners threshold,thrash-guard -tournament-out -
 
 # End-to-end smoke of the simd sweep service (cmd/simd, DESIGN.md §14):
 # an in-process server, a small bfs job submitted twice, hard assertions
@@ -174,10 +174,10 @@ colo-smoke:
 	cmp /tmp/uvmsim-colo-seq.txt /tmp/uvmsim-colo-par.txt
 	grep -q 'checksum=' /tmp/uvmsim-colo-seq.txt
 
-# Per-package coverage floor (70%) for the learned-policy and
-# multi-tier surfaces (the mm pipeline, the learn primitives, the tier
-# topology, the per-GPU counter file, the CXL controller) and the
-# simlint framework plus its interprocedural analyzers.
+# Per-package coverage floor (70%) for the pipeline and multi-tier
+# surfaces (the mm pipeline, the tier topology, the per-GPU counter
+# file, the CXL controller) and the simlint framework plus its
+# interprocedural analyzers.
 cover:
 	./scripts/cover.sh
 

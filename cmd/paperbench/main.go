@@ -80,11 +80,10 @@ type options struct {
 	serveLoad    string
 	serveClients int
 
-	tournament            bool
-	tournamentOut         string
-	tournamentOversub     uint64
-	tournamentPlanners    string
-	tournamentPrefetchers string
+	tournament         bool
+	tournamentOut      string
+	tournamentOversub  uint64
+	tournamentPlanners string
 
 	metricsJSON     string
 	traceOut        string
@@ -128,11 +127,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.benchCXLCompare, "bench-cxl-compare", "", "re-run the co-location benchmark and fail unless every scenario is byte-identical to this file")
 	fs.StringVar(&o.serveLoad, "serve-load", "", "run the simd sweep-service load test (cold vs fully-cached warm phase) and write a versioned JSON report to this file ('-' for stdout)")
 	fs.IntVar(&o.serveClients, "serve-clients", 8, "with -serve-load, concurrent clients in the warm phase")
-	fs.BoolVar(&o.tournament, "tournament", false, "run the pipeline tournament: rank every planner x prefetch-governor combination by total simulated cycles over the workload matrix")
+	fs.BoolVar(&o.tournament, "tournament", false, "run the pipeline tournament: rank every migration planner by total simulated cycles over the workload matrix")
 	fs.StringVar(&o.tournamentOut, "tournament-out", "", "with -tournament, also write the leaderboard as a versioned JSON suite to this file ('-' for stdout)")
 	fs.Uint64Var(&o.tournamentOversub, "tournament-oversub", 125, "with -tournament, working set as % of device memory per cell")
 	fs.StringVar(&o.tournamentPlanners, "tournament-planners", "", "with -tournament, comma-separated planner subset (default: "+strings.Join(experiments.DefaultTournamentPlanners(), ",")+")")
-	fs.StringVar(&o.tournamentPrefetchers, "tournament-prefetchers", "", "with -tournament, comma-separated prefetch-governor subset ('default' = the built-in kind governor)")
 	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write the observability metric registry of every simulation cell to this file as JSON ('-' for stdout)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write cycle-stamped timeline traces to this file (.jsonl = compact JSONL, otherwise Chrome trace_event JSON)")
 	fs.Uint64Var(&o.traceSample, "trace-sample", 1, "keep one of every N trace spans (with -trace-out; 1 = all)")
@@ -427,10 +425,10 @@ func runFigures(fig string, csv, plotOut bool, sample uint64, opt uvmsim.Experim
 	return nil
 }
 
-// runTournament ranks every requested planner x prefetch-governor
-// combination by total simulated cycles over the workload matrix,
-// printing the leaderboard (table, CSV or bar chart) and optionally
-// archiving it as a versioned JSON suite.
+// runTournament ranks every requested migration planner by total
+// simulated cycles over the workload matrix, printing the leaderboard
+// (table, CSV or bar chart) and optionally archiving it as a versioned
+// JSON suite.
 func runTournament(o options, stdout, stderr io.Writer) error {
 	topt := uvmsim.TournamentOptions{
 		Options:        o.opt,
@@ -443,21 +441,6 @@ func runTournament(o options, stdout, stderr io.Writer) error {
 				return err
 			}
 			topt.Planners = append(topt.Planners, name)
-		}
-	}
-	if o.tournamentPrefetchers != "" {
-		for _, p := range cliutil.SplitList(o.tournamentPrefetchers) {
-			// "default" enters the built-in kind governor (empty registry
-			// name), letting it compete against named governors.
-			if p == "default" {
-				topt.Prefetchers = append(topt.Prefetchers, "")
-				continue
-			}
-			name, err := cliutil.ParseComponentName("prefetch governor", p, mm.PrefetchGovernorNames())
-			if err != nil {
-				return err
-			}
-			topt.Prefetchers = append(topt.Prefetchers, name)
 		}
 	}
 	res := uvmsim.Tournament(topt)

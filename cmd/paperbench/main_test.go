@@ -167,7 +167,7 @@ func TestAdvertisedOverrideNamesParse(t *testing.T) {
 }
 
 // A pipeline override must actually reach the sweep: disabling the
-// prefetch governor changes the cells of a small Fig. 6 run.
+// prefetcher changes the cells of a small Fig. 6 run.
 func TestPipelineOverrideReachesSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")

@@ -12,7 +12,7 @@
 // stage for the configuration:
 //
 //	uvmsim -workload sssp -planner thrash-guard
-//	uvmsim -workload sssp -evictor lru -batcher dedup
+//	uvmsim -workload sssp -evictor none
 //
 // Observability (see DESIGN.md, "Observability"):
 //
@@ -59,12 +59,8 @@ type options struct {
 	granularity string
 	planner     string
 	evictor     string
-	batcher     string
-	pfgov       string
 
-	seed          uint64
-	banditEpsilon uint64
-	banditEpoch   uint64
+	seed uint64
 
 	tenants      string
 	cxlPoolMB    uint64
@@ -106,11 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.granularity, "granularity", "2m", "eviction granularity: 2m, 64k")
 	fs.StringVar(&o.planner, "planner", "", "migration planner: "+strings.Join(mm.PlannerNames(), ", ")+" (default: threshold)")
 	fs.StringVar(&o.evictor, "evictor", "", "eviction engine: "+strings.Join(mm.EvictorNames(), ", ")+" (default: configured replacement)")
-	fs.StringVar(&o.batcher, "batcher", "", "fault batcher: "+strings.Join(mm.BatcherNames(), ", ")+" (default: accumulate)")
-	fs.StringVar(&o.pfgov, "pf-governor", "", "prefetch governor: "+strings.Join(mm.PrefetchGovernorNames(), ", ")+" (default: the -prefetcher kind)")
-	fs.Uint64Var(&o.seed, "seed", 1, "seed for the learned pipeline stages (runs with equal seeds are byte-identical)")
-	fs.Uint64Var(&o.banditEpsilon, "bandit-epsilon", 10, "bandit exploration probability in percent (0 = never explore)")
-	fs.Uint64Var(&o.banditEpoch, "bandit-epoch", 0, "bandit learning epoch in simulated cycles (0 = built-in default)")
+	fs.Uint64Var(&o.seed, "seed", 1, "with -tenants, seed of the co-location scenario's tenant access streams (runs with equal seeds are byte-identical)")
 	fs.StringVar(&o.tenants, "tenants", "", "run the multi-tenant co-location mode: comma-separated workload:gpu[:priority] tenants sharing -gpus GPUs over a pooled CXL tier (see DESIGN.md §15)")
 	fs.Uint64Var(&o.cxlPoolMB, "cxl-pool-mb", 0, "pooled CXL tier capacity in MiB (required with -tenants)")
 	fs.Float64Var(&o.cxlBW, "cxl-bw", 0, "CXL port bandwidth in bytes/cycle (0 = built-in default)")
@@ -186,9 +178,6 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	if o.gpus > 1 && (o.spans || o.jsonOut != "") {
 		return fmt.Errorf("-spans and -json apply to single-GPU runs only (got -gpus %d)", o.gpus)
 	}
-	if o.banditEpsilon > 100 {
-		return fmt.Errorf("-bandit-epsilon is a percentage, got %d (want 0-100)", o.banditEpsilon)
-	}
 	cfg = cfg.WithPolicy(pol)
 	cfg.StaticThreshold = o.ts
 	cfg.Penalty = o.penalty
@@ -209,15 +198,6 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	if cfg.MMPipeline.Evictor, err = cliutil.ParseComponentName("evictor", o.evictor, mm.EvictorNames()); err != nil {
 		return err
 	}
-	if cfg.MMPipeline.Batcher, err = cliutil.ParseComponentName("batcher", o.batcher, mm.BatcherNames()); err != nil {
-		return err
-	}
-	if cfg.MMPipeline.Prefetcher, err = cliutil.ParseComponentName("prefetch governor", o.pfgov, mm.PrefetchGovernorNames()); err != nil {
-		return err
-	}
-	cfg.PolicySeed = o.seed
-	cfg.BanditEpsilonPct = o.banditEpsilon
-	cfg.BanditEpochCycles = o.banditEpoch
 
 	known := false
 	for _, w := range uvmsim.AllWorkloads() {

@@ -43,7 +43,6 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"zeroScale", []string{"-scale", "0"}, "-scale must be positive"},
 		{"negativeScale", []string{"-scale", "-1"}, "-scale must be positive"},
 		{"zeroOversub", []string{"-oversub", "0"}, "-oversub must be positive"},
-		{"epsilonOver100", []string{"-bandit-epsilon", "101"}, "-bandit-epsilon is a percentage"},
 		{"unknownWorkload", []string{"-workload", "nosuch"}, "unknown workload"},
 		{"unknownReplacement", []string{"-replacement", "mru"}, "unknown replacement"},
 		{"unknownPrefetcher", []string{"-prefetcher", "oracle"}, "unknown prefetcher"},
@@ -210,7 +209,6 @@ func TestUnknownPipelineComponentsExitNonZero(t *testing.T) {
 	}{
 		{"planner", []string{"-planner", "bogus"}},
 		{"evictor", []string{"-evictor", "mru"}},
-		{"batcher", []string{"-batcher", "bogus"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -252,8 +250,5 @@ func TestAdvertisedNamesRoundTripThroughFlags(t *testing.T) {
 	}
 	for _, n := range mm.EvictorNames() {
 		t.Run("evictor/"+n, func(t *testing.T) { runOK(t, "-evictor", n) })
-	}
-	for _, n := range mm.BatcherNames() {
-		t.Run("batcher/"+n, func(t *testing.T) { runOK(t, "-batcher", n) })
 	}
 }

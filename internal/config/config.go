@@ -106,16 +106,13 @@ func (p PrefetcherKind) String() string {
 
 // PipelineSpec names the memory-management pipeline components of the
 // UVM driver by registry key (see internal/mm). Empty fields select the
-// built-in defaults derived from Policy, Replacement and Prefetcher, so
-// the zero value reproduces the monolithic driver's behaviour exactly.
+// built-in defaults derived from Policy and Replacement, so the zero
+// value reproduces the monolithic driver's behaviour exactly.
 //
 // Names are resolved against the internal/mm registry when the driver
 // is constructed; config deliberately does not validate them (that
 // would invert the dependency between the registry and its key space).
 type PipelineSpec struct {
-	// Batcher selects the fault-batch formation stage
-	// (e.g. "accumulate", "dedup").
-	Batcher string
 	// Planner selects the migrate-vs-remote decision stage
 	// (e.g. "threshold", "thrash-guard").
 	Planner string
@@ -123,9 +120,6 @@ type PipelineSpec struct {
 	// "none"). Unlike Replacement, a named evictor survives
 	// Config.WithPolicy's paper pairing.
 	Evictor string
-	// Prefetcher selects the prefetch-governor stage
-	// (e.g. "tree", "none", "sequential").
-	Prefetcher string
 }
 
 // Tag renders the non-default components as a compact
@@ -134,10 +128,7 @@ type PipelineSpec struct {
 // pipeline are distinguishable from stock cells.
 func (p PipelineSpec) Tag() string {
 	var parts []string
-	for _, kv := range [][2]string{
-		{"batcher", p.Batcher}, {"planner", p.Planner},
-		{"evictor", p.Evictor}, {"prefetcher", p.Prefetcher},
-	} {
+	for _, kv := range [][2]string{{"planner", p.Planner}, {"evictor", p.Evictor}} {
 		if kv[1] != "" {
 			parts = append(parts, kv[0]+"="+kv[1])
 		}
@@ -206,23 +197,11 @@ type Config struct {
 	// built-in stages selected by Policy/Replacement/Prefetcher.
 	MMPipeline PipelineSpec
 
-	// PolicySeed seeds the deterministic generators of the learned
-	// pipeline stages (internal/mm "reuse-dist", "bandit-ts",
-	// "bandit-pf"). Runs with equal seeds are byte-identical; zero is a
-	// valid seed (remapped internally to a fixed constant). The built-in
-	// static stages ignore it.
+	// PolicySeed is a replicate label: it is part of a cell's identity
+	// (the simd cache key hashes it, and JobRequest.Seeds crosses it
+	// with the matrix), but no simulator stage reads it, so cells that
+	// differ only in PolicySeed simulate identically.
 	PolicySeed uint64
-	// BanditEpsilonPct is the exploration probability, in percent
-	// [0, 100], of the bandit-driven stages. Zero disables exploration
-	// entirely, collapsing bandit-ts to the static threshold planner it
-	// starts from (the epsilon=0 golden regression).
-	BanditEpsilonPct uint64
-	// BanditEpochCycles is the learning-epoch length in simulated core
-	// cycles: bandit-ts re-evaluates its arm once per epoch. Epochs are
-	// measured on simulated time only — never wall clock — so epoch
-	// boundaries are part of the reproducible run state. Zero selects
-	// the built-in default.
-	BanditEpochCycles uint64
 
 	// ClusterWorkers bounds the worker threads a multi-GPU cluster run
 	// may use (internal/multigpu): each GPU+driver node gets its own
@@ -327,9 +306,7 @@ func Default() Config {
 		Penalty:         2,
 		WriteMigrates:   true,
 
-		PolicySeed:        1,
-		BanditEpsilonPct:  10,
-		BanditEpochCycles: 2_000_000,
+		PolicySeed: 1,
 	}
 }
 
@@ -417,8 +394,6 @@ func (c Config) Validate() error {
 		return errors.New("config: Penalty must be at least 1")
 	case c.ClusterWorkers < 0:
 		return errors.New("config: ClusterWorkers must be non-negative")
-	case c.BanditEpsilonPct > 100:
-		return fmt.Errorf("config: BanditEpsilonPct %d above 100", c.BanditEpsilonPct)
 	case c.CXLPoolBytes%memunits.PageSize != 0:
 		return errors.New("config: CXLPoolBytes must be page aligned")
 	case c.CXLBytesPerCycle < 0:

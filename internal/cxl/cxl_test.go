@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"uvmsim/internal/config"
-	"uvmsim/internal/learn"
 	"uvmsim/internal/obs"
 )
 
@@ -77,7 +76,7 @@ func TestScenarioByteIdenticalAcrossWorkers(t *testing.T) {
 // the same seed gives the same checksum at any worker count, repeat
 // runs are identical, and the run actually depends on the seed.
 func TestScenarioReproducibilityProperty(t *testing.T) {
-	metaRNG := learn.NewRNG(99)
+	metaRNG := newRNG(99)
 	policies := []string{"cxl-repl", "cxl-migrate", "pool-remote"}
 	workloadsPool := []string{"bfs", "sssp", "ra", "nw", "backprop", "hotspot"}
 	seen := make(map[uint64]int)

@@ -8,7 +8,6 @@ import (
 	"uvmsim/internal/config"
 	"uvmsim/internal/devmem"
 	"uvmsim/internal/interconnect"
-	"uvmsim/internal/learn"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/mm"
 	"uvmsim/internal/obs"
@@ -127,7 +126,7 @@ type tenant struct {
 	spec    TenantSpec
 	id      devmem.TenantID
 	regular bool
-	rng     *learn.RNG
+	rng     *rng
 	// base is the tenant's first private pool block; the shared region
 	// is [0, sharedBlocks).
 	base   uint64
@@ -224,7 +223,7 @@ func NewScenario(sc ScenarioConfig) (*Scenario, error) {
 			spec:    spec,
 			id:      devmem.TenantID(i),
 			regular: workloads.IsRegular(spec.Workload),
-			rng:     learn.NewRNG(sc.Seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)),
+			rng:     newRNG(sc.Seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)),
 			base:    base,
 		}
 		base += spec.Blocks

@@ -92,8 +92,7 @@ func FigureJob(fig string, o Options) (serve.JobRequest, error) {
 }
 
 // TournamentJob expresses a pipeline tournament as a simd job
-// submission: every planner x prefetcher combination over the workload
-// matrix, Adaptive at the configured oversubscription with the paper's
+// submission: every planner over the workload matrix, Adaptive at the configured oversubscription with the paper's
 // p=8, exactly the cells Tournament simulates.
 func TournamentJob(o TournamentOptions) serve.JobRequest {
 	o = o.withDefaults()
@@ -108,12 +107,9 @@ func TournamentJob(o TournamentOptions) serve.JobRequest {
 		Base:            &base,
 	}
 	for _, pl := range o.Planners {
-		for _, pf := range o.Prefetchers {
-			spec := base.MMPipeline
-			spec.Planner = pl
-			spec.Prefetcher = pf
-			req.Pipelines = append(req.Pipelines, spec)
-		}
+		spec := base.MMPipeline
+		spec.Planner = pl
+		req.Pipelines = append(req.Pipelines, spec)
 	}
 	return req
 }

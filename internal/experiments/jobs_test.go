@@ -81,13 +81,11 @@ func TestFigureJobShapes(t *testing.T) {
 	}
 }
 
-// The tournament job must cover every planner x prefetcher combination
-// and agree cycle-for-cycle with the in-process tournament.
+// The tournament job must cover every planner and agree cycle-for-cycle with the in-process tournament.
 func TestTournamentJobMatchesInProcessTournament(t *testing.T) {
 	to := TournamentOptions{
-		Options:     Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}},
-		Planners:    []string{"threshold", "thrash-guard"},
-		Prefetchers: []string{""},
+		Options:  Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}},
+		Planners: []string{"threshold", "thrash-guard"},
 	}
 	res := Tournament(to)
 	var want uint64

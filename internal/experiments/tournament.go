@@ -9,33 +9,28 @@ import (
 	"uvmsim/internal/core"
 	"uvmsim/internal/report"
 	"uvmsim/internal/resultio"
+	"uvmsim/internal/satmath"
 )
 
 // TournamentOptions configures a pipeline tournament: every requested
-// planner x prefetch-governor combination runs the same workload matrix
-// under oversubscription and the combinations are ranked by total
-// simulated cycles.
+// migration planner runs the same workload matrix under
+// oversubscription and the planners are ranked by total simulated
+// cycles.
 type TournamentOptions struct {
 	Options
 	// OversubPercent is the working-set pressure every cell runs under
 	// (0 = the paper's 125%).
 	OversubPercent uint64
 	// Planners lists the mm planner registry names to enter (nil = the
-	// default field: static threshold, thrash-guard and both learned
-	// planners).
+	// default field: the paper's static threshold scheme and its
+	// thrash-guard variant).
 	Planners []string
-	// Prefetchers lists the mm prefetch-governor registry names to
-	// cross with the planners (nil = the configured static kind only;
-	// include "bandit-pf" to let the governor learn too). The empty
-	// string is a valid entry meaning the built-in default governor.
-	Prefetchers []string
 }
 
 // DefaultTournamentPlanners is the default planner field: the paper's
-// static threshold scheme, its thrash-guard variant, and the two
-// learned planners.
+// static threshold scheme and its thrash-guard variant.
 func DefaultTournamentPlanners() []string {
-	return []string{"threshold", "thrash-guard", "reuse-dist", "bandit-ts"}
+	return []string{"threshold", "thrash-guard"}
 }
 
 // DefaultTournamentWorkloads is the default workload matrix: the two
@@ -57,32 +52,23 @@ func (o TournamentOptions) withDefaults() TournamentOptions {
 	if len(o.Planners) == 0 {
 		o.Planners = DefaultTournamentPlanners()
 	}
-	if len(o.Prefetchers) == 0 {
-		o.Prefetchers = []string{""}
-	}
 	return o
 }
 
-// TournamentEntry is one combination's aggregate outcome, plus the
+// TournamentEntry is one planner's aggregate outcome, plus the
 // per-workload cycle counts behind it (aligned with the result's
 // Workloads).
 type TournamentEntry struct {
-	Planner, Prefetcher string
-	TotalCycles         uint64
-	WorkloadCycles      []uint64
-	FarFaults           uint64
-	ThrashedPages       uint64
-	RemoteAccesses      uint64
+	Planner        string
+	TotalCycles    uint64
+	WorkloadCycles []uint64
+	FarFaults      uint64
+	ThrashedPages  uint64
+	RemoteAccesses uint64
 }
 
-// Name is the combination's leaderboard identity.
-func (e TournamentEntry) Name() string {
-	name := "planner=" + e.Planner
-	if e.Prefetcher != "" {
-		name += ",prefetcher=" + e.Prefetcher
-	}
-	return name
-}
+// Name is the entry's leaderboard identity.
+func (e TournamentEntry) Name() string { return "planner=" + e.Planner }
 
 // TournamentResult is a ranked leaderboard over the workload matrix.
 type TournamentResult struct {
@@ -94,29 +80,20 @@ type TournamentResult struct {
 	Entries []TournamentEntry
 }
 
-// Tournament runs every planner x prefetcher combination over the
-// workload matrix under the Adaptive policy at the configured
-// oversubscription and returns the ranked leaderboard. Cells run in
-// parallel (Options.Workers) but the leaderboard is deterministic: every
-// simulation is single-threaded and reproducible, and ranking ties
-// break lexicographically.
+// Tournament runs every planner over the workload matrix under the
+// Adaptive policy at the configured oversubscription and returns the
+// ranked leaderboard. Cells run in parallel (Options.Workers) but the
+// leaderboard is deterministic: every simulation is single-threaded and
+// reproducible, and ranking ties break lexicographically.
 func Tournament(o TournamentOptions) *TournamentResult {
 	o = o.withDefaults()
-	type combo struct{ planner, prefetcher string }
-	var combos []combo
-	for _, pl := range o.Planners {
-		for _, pf := range o.Prefetchers {
-			combos = append(combos, combo{pl, pf})
-		}
-	}
 	// The paper's Fig. 6 operating point: Adaptive with p=8. Every
-	// combination shares it, so only the pipeline stages differ.
+	// planner shares it, so only the planner differs.
 	base := o.Base
 	base.Penalty = 8
-	res := o.grid(len(combos), func(name string, col int) *core.Result {
+	res := o.grid(len(o.Planners), func(name string, col int) *core.Result {
 		cfg := base
-		cfg.MMPipeline.Planner = combos[col].planner
-		cfg.MMPipeline.Prefetcher = combos[col].prefetcher
+		cfg.MMPipeline.Planner = o.Planners[col]
 		return o.runtimeOf(name, o.OversubPercent, config.PolicyAdaptive, cfg, "")
 	})
 	out := &TournamentResult{
@@ -124,16 +101,15 @@ func Tournament(o TournamentOptions) *TournamentResult {
 		Scale:          o.Scale,
 		OversubPercent: o.OversubPercent,
 	}
-	for c, cb := range combos {
+	for c, pl := range o.Planners {
 		e := TournamentEntry{
-			Planner:        cb.planner,
-			Prefetcher:     cb.prefetcher,
+			Planner:        pl,
 			WorkloadCycles: make([]uint64, len(o.Options.Workloads)),
 		}
 		for w := range o.Options.Workloads {
 			r := res[w][c]
 			e.WorkloadCycles[w] = r.Runtime()
-			e.TotalCycles += r.Runtime()
+			e.TotalCycles = satmath.Add(e.TotalCycles, r.Runtime())
 			e.FarFaults += r.Counters.FarFaults
 			e.ThrashedPages += r.Counters.ThrashedPages
 			e.RemoteAccesses += r.Counters.RemoteReads + r.Counters.RemoteWrites
@@ -150,7 +126,7 @@ func Tournament(o TournamentOptions) *TournamentResult {
 }
 
 // Table renders the leaderboard as a report table: one row per
-// combination in rank order, per-workload and total cycles normalized
+// planner in rank order, per-workload and total cycles normalized
 // to the winner (the winner's row reads 1.00 across).
 func (r *TournamentResult) Table() *report.Table {
 	t := &report.Table{
@@ -173,8 +149,8 @@ func (r *TournamentResult) Table() *report.Table {
 	return t
 }
 
-// CSV renders the leaderboard with raw cycle counts, one combination
-// per row in rank order.
+// CSV renders the leaderboard with raw cycle counts, one planner per
+// row in rank order.
 func (r *TournamentResult) CSV() string {
 	var b strings.Builder
 	b.WriteString("rank,combination")
@@ -206,7 +182,6 @@ func (r *TournamentResult) Suite() *resultio.TournamentSuite {
 		s.Entries = append(s.Entries, resultio.TournamentEntry{
 			Name:           e.Name(),
 			Planner:        e.Planner,
-			Prefetcher:     e.Prefetcher,
 			TotalSimCycles: e.TotalCycles,
 			WorkloadCycles: append([]uint64{}, e.WorkloadCycles...),
 			FarFaults:      e.FarFaults,

@@ -12,7 +12,7 @@ import (
 func smallTournament() *TournamentResult {
 	return Tournament(TournamentOptions{
 		Options:  Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}},
-		Planners: []string{"threshold", "reuse-dist"},
+		Planners: []string{"threshold", "thrash-guard"},
 	})
 }
 
@@ -52,35 +52,35 @@ func TestTournamentDeterministic(t *testing.T) {
 	a := smallTournament().CSV()
 	b := Tournament(TournamentOptions{
 		Options:  Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}, Workers: 4},
-		Planners: []string{"threshold", "reuse-dist"},
+		Planners: []string{"threshold", "thrash-guard"},
 	}).CSV()
 	if a != b {
 		t.Fatalf("tournament CSVs differ across runs:\n--- first\n%s--- second\n%s", a, b)
 	}
 }
 
-// TestTournamentLearnedBeatsStaticAdaptive is the headline acceptance
-// claim: under real oversubscription pressure, the reuse-distance
-// planner must beat the paper's static Adaptive threshold scheme on
-// total simulated cycles for the irregular workloads (ra, sssp). Scale
-// 0.3 because WithOversubscription's 2-chunk device-memory floor erases
+// TestTournamentThrashGuardBeatsStaticAdaptive is the claim that keeps
+// the planner seam: under real oversubscription pressure, thrash-guard
+// must beat the paper's static Adaptive threshold scheme on total
+// simulated cycles for the irregular workloads (ra, sssp). Scale 0.3
+// because WithOversubscription's 2-chunk device-memory floor erases
 // eviction pressure at smaller scales (see DESIGN.md §13).
-func TestTournamentLearnedBeatsStaticAdaptive(t *testing.T) {
+func TestTournamentThrashGuardBeatsStaticAdaptive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second tournament at scale 0.3")
 	}
 	r := Tournament(TournamentOptions{
 		Options:  Options{Scale: 0.3, Workloads: []string{"ra", "sssp"}},
-		Planners: []string{"threshold", "reuse-dist"},
+		Planners: []string{"threshold", "thrash-guard"},
 	})
 	byName := map[string]TournamentEntry{}
 	for _, e := range r.Entries {
 		byName[e.Planner] = e
 	}
-	learned, static := byName["reuse-dist"], byName["threshold"]
-	if learned.TotalCycles >= static.TotalCycles {
-		t.Fatalf("reuse-dist (%d cycles) does not beat static threshold (%d cycles)",
-			learned.TotalCycles, static.TotalCycles)
+	guard, static := byName["thrash-guard"], byName["threshold"]
+	if guard.TotalCycles >= static.TotalCycles {
+		t.Fatalf("thrash-guard (%d cycles) does not beat static threshold (%d cycles)",
+			guard.TotalCycles, static.TotalCycles)
 	}
 }
 

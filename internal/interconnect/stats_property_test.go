@@ -1,9 +1,9 @@
 package interconnect
 
 import (
+	"math/rand/v2"
 	"testing"
 
-	"uvmsim/internal/learn"
 	"uvmsim/internal/sim"
 )
 
@@ -55,7 +55,7 @@ func (m *statsModel) note(now sim.Cycle, payload, wire uint64) sim.Cycle {
 // metrics lean on.
 func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
-		rng := learn.NewRNG(seed)
+		rng := rand.New(rand.NewPCG(seed, 0))
 
 		eng := sim.NewEngine()
 		pcie := New(eng, 10, 100, 24, 3)
@@ -97,17 +97,17 @@ func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 
 		pending := 0
 		for i := 0; i < 400; i++ {
-			lc := cases[rng.Intn(2)]
-			dir := Direction(rng.Intn(2))
+			lc := cases[rng.IntN(2)]
+			dir := Direction(rng.IntN(2))
 			m := lc.models[dir]
 			var got, want sim.Cycle
-			if rng.Intn(3) == 0 {
-				payload := uint64(1 + rng.Intn(128)) // sector-sized
+			if rng.IntN(3) == 0 {
+				payload := uint64(1 + rng.IntN(128)) // sector-sized
 				want = m.note(eng.Now(), payload, lc.remoteWire(payload))
 				pending++
 				got = lc.conn.RemoteAccess(dir, payload, func() { pending-- })
 			} else {
-				payload := uint64(1 + rng.Intn(1<<16)) // up to 64KB bulk
+				payload := uint64(1 + rng.IntN(1<<16)) // up to 64KB bulk
 				want = m.note(eng.Now(), payload, lc.bulkWire(payload))
 				pending++
 				got = lc.conn.Transfer(dir, payload, func() { pending-- })
@@ -120,8 +120,8 @@ func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 			}
 			// Occasionally let simulated time advance so transfers start
 			// against a moving engine clock, not always a contended wire.
-			if rng.Intn(4) == 0 {
-				eng.At(eng.Now()+sim.Cycle(1+rng.Intn(500)), func() {})
+			if rng.IntN(4) == 0 {
+				eng.At(eng.Now()+sim.Cycle(1+rng.IntN(500)), func() {})
 				eng.Run()
 			}
 		}

@@ -9,15 +9,10 @@ import (
 	"uvmsim/internal/evict"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/policy"
-	"uvmsim/internal/sim"
 )
 
 func TestDefaultsMatchConfiguration(t *testing.T) {
 	cfg := config.Default()
-	b, err := NewBatcher("", cfg)
-	if err != nil || b.Name() != "accumulate" {
-		t.Fatalf("default batcher = %v, %v; want accumulate", b, err)
-	}
 	p, err := NewPlanner("", cfg)
 	if err != nil || p.Name() != "threshold" {
 		t.Fatalf("default planner = %v, %v; want threshold", p, err)
@@ -29,10 +24,6 @@ func TestDefaultsMatchConfiguration(t *testing.T) {
 			t.Fatalf("default evictor under %v = %v, %v", rp, e, err)
 		}
 	}
-	g, err := NewPrefetchGovernor("", cfg)
-	if err != nil || g.Name() != "tree" {
-		t.Fatalf("default governor = %v, %v; want tree", g, err)
-	}
 }
 
 func TestUnknownNamesError(t *testing.T) {
@@ -40,14 +31,8 @@ func TestUnknownNamesError(t *testing.T) {
 	if _, err := NewPlanner("nope", cfg); err == nil || !strings.Contains(err.Error(), "unknown migration planner") {
 		t.Fatalf("NewPlanner(nope) err = %v", err)
 	}
-	if _, err := NewBatcher("nope", cfg); err == nil {
-		t.Fatal("NewBatcher(nope) succeeded")
-	}
 	if _, err := NewEvictor("nope", cfg); err == nil {
 		t.Fatal("NewEvictor(nope) succeeded")
-	}
-	if _, err := NewPrefetchGovernor("nope", cfg); err == nil {
-		t.Fatal("NewPrefetchGovernor(nope) succeeded")
 	}
 	// The error names the registered alternatives.
 	_, err := NewEvictor("mru", cfg)
@@ -68,10 +53,8 @@ func TestNamesAreCaseInsensitiveAndTrimmed(t *testing.T) {
 
 func TestNameListsAreSorted(t *testing.T) {
 	for kind, names := range map[string][]string{
-		"batcher":    BatcherNames(),
-		"planner":    PlannerNames(),
-		"evictor":    EvictorNames(),
-		"prefetcher": PrefetchGovernorNames(),
+		"planner": PlannerNames(),
+		"evictor": EvictorNames(),
 	} {
 		if len(names) == 0 {
 			t.Fatalf("no registered %ss", kind)
@@ -85,17 +68,12 @@ func TestNameListsAreSorted(t *testing.T) {
 func TestBuildResolvesSpec(t *testing.T) {
 	cfg := config.Default()
 	cfg.MMPipeline = config.PipelineSpec{
-		Batcher:    "dedup",
-		Planner:    "thrash-guard",
-		Evictor:    "none",
-		Prefetcher: "sequential",
+		Planner: "thrash-guard",
+		Evictor: "none",
 	}
 	pipe, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := pipe.Batcher.Name(); got != "dedup" {
-		t.Fatalf("batcher = %q", got)
 	}
 	if got := pipe.Planner.Name(); got != "thrash-guard" {
 		t.Fatalf("planner = %q", got)
@@ -103,66 +81,10 @@ func TestBuildResolvesSpec(t *testing.T) {
 	if got := pipe.Evictor.Name(); got != "none" {
 		t.Fatalf("evictor = %q", got)
 	}
-	if got := pipe.Prefetch.Name(); got != "sequential" {
-		t.Fatalf("prefetcher = %q", got)
-	}
 
 	cfg.MMPipeline.Planner = "bogus"
 	if _, err := Build(cfg); err == nil {
 		t.Fatal("Build with unknown planner succeeded")
-	}
-}
-
-func TestAccumBatcherRounds(t *testing.T) {
-	b, _ := NewBatcher("accumulate", config.Default())
-	if b.Open() {
-		t.Fatal("fresh batcher is open")
-	}
-	if !b.Add(3) {
-		t.Fatal("first Add did not open the round")
-	}
-	if b.Add(7) || b.Add(3) {
-		t.Fatal("later Adds re-opened the round")
-	}
-	if !b.Open() {
-		t.Fatal("batcher not open after Add")
-	}
-	got := b.Close()
-	want := []memunits.BlockNum{3, 7, 3}
-	if len(got) != len(want) {
-		t.Fatalf("batch = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("batch = %v, want %v", got, want)
-		}
-	}
-	if b.Open() {
-		t.Fatal("batcher still open after Close")
-	}
-	if !b.Add(1) {
-		t.Fatal("Add after Close did not open a new round")
-	}
-}
-
-func TestDedupBatcherDropsDuplicates(t *testing.T) {
-	b, _ := NewBatcher("dedup", config.Default())
-	if !b.Add(3) {
-		t.Fatal("first Add did not open the round")
-	}
-	if b.Add(3) {
-		t.Fatal("duplicate Add reported a new round")
-	}
-	b.Add(7)
-	b.Add(7)
-	got := b.Close()
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("batch = %v, want [3 7]", got)
-	}
-	// The filter resets between rounds.
-	b.Add(3)
-	if got := b.Close(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("second round = %v, want [3]", got)
 	}
 }
 
@@ -203,35 +125,18 @@ func TestThrashGuardPinsChronicThrashers(t *testing.T) {
 	}
 }
 
-func TestKindGovernorCreatesConfiguredKind(t *testing.T) {
-	cfg := config.Default()
-	g, _ := NewPrefetchGovernor("none", cfg)
-	pf := g.NewChunk(32)
-	leaves := pf.OnFault(5)
-	if len(leaves) != 1 || leaves[0] != 5 {
-		t.Fatalf("none governor prefetched: %v", leaves)
-	}
-	if pf.Tree() == nil {
-		t.Fatal("chunk prefetcher has no tree")
-	}
-}
+// Stage contract tests: every registered implementation must satisfy
+// the same behavioural contract, checked table-driven over the registry
+// so a new registration is tested the moment it exists.
 
-// Stage contract tests: every registered implementation — built-in and
-// learned — must satisfy the same behavioural contract, checked
-// table-driven over the registry so a new registration is tested the
-// moment it exists.
-
-// contractAccessSeq generates a fixed pseudo-random access sequence
-// spanning enough simulated time to close several bandit epochs. The
-// generator is self-contained so the sequence is identical on every
+// contractAccessSeq generates a fixed pseudo-random access sequence.
+// The generator is self-contained so the sequence is identical on every
 // run.
 func contractAccessSeq(n int) []Access {
 	s := uint64(0x123456789)
 	next := func() uint64 { s ^= s << 13; s ^= s >> 7; s ^= s << 17; return s }
 	seq := make([]Access, 0, n)
-	var now sim.Cycle
 	for i := 0; i < n; i++ {
-		now += sim.Cycle(next() % 50_000)
 		seq = append(seq, Access{
 			Block:      memunits.BlockNum(next() % 512),
 			Write:      next()%4 == 0,
@@ -242,7 +147,6 @@ func contractAccessSeq(n int) []Access {
 				TotalPages:     1000,
 				Oversubscribed: next()%2 == 0,
 			},
-			Now: now,
 		})
 	}
 	return seq
@@ -251,9 +155,7 @@ func contractAccessSeq(n int) []Access {
 func TestPlannerContractDeterministicReplay(t *testing.T) {
 	// Two fresh instances of every registered planner fed the same
 	// access sequence must make identical decisions — the planner-level
-	// core of the repo's byte-identical determinism guarantee. The
-	// sequence spans ~250M cycles so the learned planners cross many
-	// epoch boundaries and exploration draws.
+	// core of the repo's byte-identical determinism guarantee.
 	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
 	seq := contractAccessSeq(5000)
 	for _, name := range PlannerNames() {
@@ -270,93 +172,6 @@ func TestPlannerContractDeterministicReplay(t *testing.T) {
 				t.Fatalf("planner %s diverged from its twin at access %d", name, i)
 			}
 		}
-	}
-}
-
-func TestPlannerContractSeedChangesLearnedDecisions(t *testing.T) {
-	// The learned planners must actually consume the seed: two seeds
-	// giving identical decision sequences over 5000 varied accesses
-	// would mean the "seeded" randomness is dead code.
-	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
-	seq := contractAccessSeq(5000)
-	cfg2 := cfg
-	cfg2.PolicySeed = cfg.PolicySeed + 1
-	p1, _ := NewPlanner("reuse-dist", cfg)
-	p2, _ := NewPlanner("reuse-dist", cfg2)
-	same := true
-	for _, acc := range seq {
-		if p1.ShouldMigrate(acc) != p2.ShouldMigrate(acc) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("reuse-dist decisions identical under different seeds")
-	}
-}
-
-func TestReuseDistPlannerOnlyVetoesUnderOversubscription(t *testing.T) {
-	// Post-oversubscription reuse-dist is a filter on the threshold
-	// decision: it must never migrate a block the static scheme would
-	// keep host-side (its exploration draws only fire on
-	// threshold-approved blocks).
-	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
-	rd, _ := NewPlanner("reuse-dist", cfg)
-	th, _ := NewPlanner("threshold", cfg)
-	for i, acc := range contractAccessSeq(5000) {
-		if !acc.Mem.Oversubscribed {
-			// Keep the two planners' internal state in sync: reuse-dist
-			// mirrors threshold exactly before oversubscription.
-			if rd.ShouldMigrate(acc) != th.ShouldMigrate(acc) {
-				t.Fatalf("reuse-dist diverged from threshold pre-oversub at access %d", i)
-			}
-			continue
-		}
-		if rd.ShouldMigrate(acc) && !th.ShouldMigrate(acc) {
-			t.Fatalf("reuse-dist migrated a threshold-vetoed block at access %d", i)
-		}
-	}
-}
-
-func TestBanditPlannerEpsilonZeroMatchesThreshold(t *testing.T) {
-	// The decision-level form of the epsilon=0 golden: with exploration
-	// off, bandit-ts never leaves arm 0 (the configured ts/p pair), so
-	// its decisions are identical to the static threshold planner's
-	// even across epoch closes.
-	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
-	cfg.BanditEpsilonPct = 0
-	bp, _ := NewPlanner("bandit-ts", cfg)
-	th, _ := NewPlanner("threshold", cfg)
-	for i, acc := range contractAccessSeq(5000) {
-		if bp.ShouldMigrate(acc) != th.ShouldMigrate(acc) {
-			t.Fatalf("bandit-ts(eps=0) diverged from threshold at access %d", i)
-		}
-	}
-}
-
-func TestBanditArmsAnchorAndDedup(t *testing.T) {
-	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
-	arms := banditArms(cfg)
-	if arms[0].ts != cfg.StaticThreshold || arms[0].p != cfg.Penalty {
-		t.Fatalf("arm 0 = (%d, %d), want the configured (%d, %d)",
-			arms[0].ts, arms[0].p, cfg.StaticThreshold, cfg.Penalty)
-	}
-	seen := map[[2]uint64]bool{}
-	for _, a := range arms {
-		k := [2]uint64{a.ts, a.p}
-		if seen[k] {
-			t.Fatalf("duplicate arm (%d, %d)", a.ts, a.p)
-		}
-		seen[k] = true
-		if a.ts == 0 || a.p == 0 {
-			t.Fatalf("arm (%d, %d) has a zero knob", a.ts, a.p)
-		}
-	}
-	// At the degenerate corner every variant collapses toward (1, 1);
-	// construction must dedup rather than panic or emit twins.
-	cfg.StaticThreshold, cfg.Penalty = 1, 1
-	if got := banditArms(cfg); len(got) != 4 {
-		t.Fatalf("degenerate arm set has %d arms, want 4", len(got))
 	}
 }
 
@@ -387,115 +202,6 @@ func TestEvictorContractRefusesGracefullyWithoutCandidates(t *testing.T) {
 			}
 			if h.evictions != 0 {
 				t.Fatalf("evictor %s (gran %d) called Evict with no candidates", name, gran)
-			}
-		}
-	}
-}
-
-func TestBatcherContractEmptyCloseIsNoOp(t *testing.T) {
-	for _, name := range BatcherNames() {
-		b, err := NewBatcher(name, config.Default())
-		if err != nil {
-			t.Fatalf("NewBatcher(%s): %v", name, err)
-		}
-		if got := b.Close(); len(got) != 0 {
-			t.Fatalf("batcher %s returned %v from an empty Close", name, got)
-		}
-		if b.Open() {
-			t.Fatalf("batcher %s open after an empty Close", name)
-		}
-		// An empty Close must not have corrupted round tracking.
-		if !b.Add(9) {
-			t.Fatalf("batcher %s did not open a round after empty Close", name)
-		}
-		if got := b.Close(); len(got) != 1 || got[0] != 9 {
-			t.Fatalf("batcher %s round after empty Close = %v, want [9]", name, got)
-		}
-	}
-}
-
-func TestGovernorContractFaultListsAscendingAndInclusive(t *testing.T) {
-	for _, name := range PrefetchGovernorNames() {
-		g, err := NewPrefetchGovernor(name, config.Default())
-		if err != nil {
-			t.Fatalf("NewPrefetchGovernor(%s): %v", name, err)
-		}
-		if g.Name() != name {
-			t.Fatalf("governor %q round-trips as %q", name, g.Name())
-		}
-		pf := g.NewChunk(32)
-		if pf.Tree() == nil {
-			t.Fatalf("governor %s chunk has no tree", name)
-		}
-		for _, fault := range []int{0, 5, 31} {
-			leaves := pf.OnFault(fault)
-			if !sort.IntsAreSorted(leaves) {
-				t.Fatalf("governor %s OnFault(%d) not ascending: %v", name, fault, leaves)
-			}
-			found := false
-			for _, l := range leaves {
-				if l == fault {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("governor %s OnFault(%d) omitted the faulting block: %v", name, fault, leaves)
-			}
-		}
-	}
-}
-
-func TestLearnedStagesPublishMetrics(t *testing.T) {
-	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
-	for _, name := range []string{"reuse-dist", "bandit-ts"} {
-		p, _ := NewPlanner(name, cfg)
-		pub, ok := p.(MetricPublisher)
-		if !ok {
-			t.Fatalf("planner %s does not publish metrics", name)
-		}
-		for _, acc := range contractAccessSeq(1000) {
-			p.ShouldMigrate(acc)
-		}
-		got := map[string]uint64{}
-		pub.PublishMetrics(func(n string, v uint64) { got[n] = v })
-		if len(got) == 0 {
-			t.Fatalf("planner %s published no metrics", name)
-		}
-		for n := range got {
-			if !strings.HasPrefix(n, "mm.") {
-				t.Fatalf("planner %s metric %q not mm-prefixed", name, n)
-			}
-		}
-	}
-	g, _ := NewPrefetchGovernor("bandit-pf", cfg)
-	pub := g.(MetricPublisher)
-	g.NewChunk(32).OnFault(3)
-	count := 0
-	pub.PublishMetrics(func(n string, v uint64) { count++ })
-	if count == 0 {
-		t.Fatal("bandit-pf published no metrics")
-	}
-}
-
-func TestBanditGovernorEpsilonZeroMatchesConfiguredKind(t *testing.T) {
-	// Without exploration the governor must pick the configured kind
-	// for every chunk and behave identically to the static governor.
-	cfg := config.Default()
-	cfg.Prefetcher = config.PrefetchSequential
-	cfg.BanditEpsilonPct = 0
-	bg, _ := NewPrefetchGovernor("bandit-pf", cfg)
-	kg, _ := NewPrefetchGovernor("", cfg)
-	for chunk := 0; chunk < 8; chunk++ {
-		a, b := bg.NewChunk(32), kg.NewChunk(32)
-		for _, fault := range []int{1, 30, 2} {
-			la, lb := a.OnFault(fault), b.OnFault(fault)
-			if len(la) != len(lb) {
-				t.Fatalf("chunk %d fault %d: bandit-pf %v vs static %v", chunk, fault, la, lb)
-			}
-			for i := range la {
-				if la[i] != lb[i] {
-					t.Fatalf("chunk %d fault %d: bandit-pf %v vs static %v", chunk, fault, la, lb)
-				}
 			}
 		}
 	}

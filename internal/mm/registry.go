@@ -9,8 +9,8 @@ import (
 )
 
 // Factory constructs one pipeline stage for a driver from its
-// configuration. Factories must return a fresh instance per call —
-// stateful stages (batchers) are never shared between drivers.
+// configuration. Factories must return a fresh instance per call, so a
+// stateful stage is never shared between drivers.
 type Factory[T any] func(cfg config.Config) (T, error)
 
 // registry is one name-keyed stage namespace.
@@ -63,32 +63,17 @@ func (r *registry[T]) names() []string {
 func canon(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
 
 var (
-	batchers   = &registry[FaultBatcher]{kind: "fault batcher", def: newAccumBatcher}
-	planners   = &registry[MigrationPlanner]{kind: "migration planner", def: newThresholdPlanner}
-	evictors   = &registry[EvictionEngine]{kind: "eviction engine", def: newConfiguredEvictor}
-	prefetches = &registry[PrefetchGovernor]{kind: "prefetch governor", def: newConfiguredGovernor}
-	pools      = &registry[PoolPolicy]{kind: "pool policy", def: newCXLReplPolicy}
+	planners = &registry[MigrationPlanner]{kind: "migration planner", def: newThresholdPlanner}
+	evictors = &registry[EvictionEngine]{kind: "eviction engine", def: newConfiguredEvictor}
+	pools    = &registry[PoolPolicy]{kind: "pool policy", def: newCXLReplPolicy}
 )
 
-// RegisterBatcher adds a FaultBatcher factory under name. Panics on
+// RegisterPlanner adds a MigrationPlanner factory under name. Panics on
 // duplicates; call from package init.
-func RegisterBatcher(name string, f Factory[FaultBatcher]) { batchers.register(name, f) }
-
-// RegisterPlanner adds a MigrationPlanner factory under name.
 func RegisterPlanner(name string, f Factory[MigrationPlanner]) { planners.register(name, f) }
 
 // RegisterEvictor adds an EvictionEngine factory under name.
 func RegisterEvictor(name string, f Factory[EvictionEngine]) { evictors.register(name, f) }
-
-// RegisterPrefetchGovernor adds a PrefetchGovernor factory under name.
-func RegisterPrefetchGovernor(name string, f Factory[PrefetchGovernor]) {
-	prefetches.register(name, f)
-}
-
-// NewBatcher builds the named FaultBatcher ("" = default).
-func NewBatcher(name string, cfg config.Config) (FaultBatcher, error) {
-	return batchers.build(name, cfg)
-}
 
 // NewPlanner builds the named MigrationPlanner ("" = default).
 func NewPlanner(name string, cfg config.Config) (MigrationPlanner, error) {
@@ -100,23 +85,11 @@ func NewEvictor(name string, cfg config.Config) (EvictionEngine, error) {
 	return evictors.build(name, cfg)
 }
 
-// NewPrefetchGovernor builds the named PrefetchGovernor ("" = default).
-func NewPrefetchGovernor(name string, cfg config.Config) (PrefetchGovernor, error) {
-	return prefetches.build(name, cfg)
-}
-
-// BatcherNames lists the registered FaultBatcher names, sorted.
-func BatcherNames() []string { return batchers.names() }
-
 // PlannerNames lists the registered MigrationPlanner names, sorted.
 func PlannerNames() []string { return planners.names() }
 
 // EvictorNames lists the registered EvictionEngine names, sorted.
 func EvictorNames() []string { return evictors.names() }
-
-// PrefetchGovernorNames lists the registered PrefetchGovernor names,
-// sorted.
-func PrefetchGovernorNames() []string { return prefetches.names() }
 
 // RegisterPoolPolicy adds a PoolPolicy factory under name.
 func RegisterPoolPolicy(name string, f Factory[PoolPolicy]) { pools.register(name, f) }

@@ -17,11 +17,9 @@ import (
 func TestRegistryOutputIsStable(t *testing.T) {
 	// Extra registrations so the maps have enough keys for an unsorted
 	// iteration to be visibly unstable.
-	reg := &registry[FaultBatcher]{kind: "fault batcher", def: newAccumBatcher}
+	reg := &registry[MigrationPlanner]{kind: "migration planner", def: newThresholdPlanner}
 	for _, name := range []string{"zeta", "alpha", "mid", "beta", "omega", "kappa", "nu"} {
-		reg.register(name, func(cfg config.Config) (FaultBatcher, error) {
-			return newAccumBatcher(cfg)
-		})
+		reg.register(name, newThresholdPlanner)
 	}
 
 	firstNames := reg.names()
@@ -49,10 +47,9 @@ func TestRegistryOutputIsStable(t *testing.T) {
 // CLI error messages and reports.
 func TestPackageRegistriesSorted(t *testing.T) {
 	for name, names := range map[string]func() []string{
-		"BatcherNames":          BatcherNames,
-		"PlannerNames":          PlannerNames,
-		"EvictorNames":          EvictorNames,
-		"PrefetchGovernorNames": PrefetchGovernorNames,
+		"PlannerNames":    PlannerNames,
+		"EvictorNames":    EvictorNames,
+		"PoolPolicyNames": PoolPolicyNames,
 	} {
 		if got := names(); !sort.StringsAreSorted(got) {
 			t.Errorf("%s() not sorted: %v", name, got)

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -247,5 +248,23 @@ func TestChunkTreeAccessor(t *testing.T) {
 	c.OnFault(3)
 	if !c.Tree().Occupied(3) {
 		t.Fatal("Tree() does not reflect OnFault")
+	}
+}
+
+// Every prefetcher kind returns an ascending list of chunk-relative
+// blocks that includes the faulting block: the driver queues the list
+// as one migration in that order.
+func TestChunkFaultListsAscendingAndInclusive(t *testing.T) {
+	for _, kind := range []config.PrefetcherKind{config.PrefetchTree, config.PrefetchNone, config.PrefetchSequential} {
+		c := NewChunk(kind, 32)
+		for _, fault := range []int{0, 5, 31} {
+			leaves := c.OnFault(fault)
+			if !sort.IntsAreSorted(leaves) {
+				t.Fatalf("%v OnFault(%d) not ascending: %v", kind, fault, leaves)
+			}
+			if !slices.Contains(leaves, fault) {
+				t.Fatalf("%v OnFault(%d) omitted the faulting block: %v", kind, fault, leaves)
+			}
+		}
 	}
 }

@@ -90,7 +90,7 @@ func TestReadersRejectTrailingData(t *testing.T) {
 	}
 	tour := &TournamentSuite{
 		Workloads: []string{"bfs"},
-		Entries:   []TournamentEntry{{Name: "planner=threshold", WorkloadCycles: []uint64{1}}},
+		Entries:   []TournamentEntry{{Name: "planner=threshold", TotalSimCycles: 1, WorkloadCycles: []uint64{1}}},
 	}
 	var tourBuf bytes.Buffer
 	if err := WriteTournamentSuite(&tourBuf, tour); err != nil {
@@ -151,7 +151,7 @@ func TestWritersDoNotMutateInput(t *testing.T) {
 
 	tour := &TournamentSuite{
 		Workloads: []string{"bfs"},
-		Entries:   []TournamentEntry{{Name: "planner=threshold", WorkloadCycles: []uint64{1}}},
+		Entries:   []TournamentEntry{{Name: "planner=threshold", TotalSimCycles: 1, WorkloadCycles: []uint64{1}}},
 	}
 	if err := WriteTournamentSuite(&bytes.Buffer{}, tour); err != nil {
 		t.Fatal(err)

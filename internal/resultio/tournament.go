@@ -4,22 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"uvmsim/internal/satmath"
 )
 
 // TournamentFormatVersion identifies the tournament-suite schema; bump
 // on incompatible changes.
 const TournamentFormatVersion = 1
 
-// TournamentEntry is one pipeline combination's aggregate outcome over
-// the tournament's workload matrix.
+// TournamentEntry is one migration planner's aggregate outcome over the
+// tournament's workload matrix.
 type TournamentEntry struct {
-	// Name is the combination's leaderboard identity
-	// (e.g. "planner=reuse-dist,prefetcher=bandit-pf").
+	// Name is the entry's leaderboard identity (e.g.
+	// "planner=thrash-guard").
 	Name string `json:"name"`
-	// Planner and Prefetcher are the mm registry names of the varied
-	// stages (empty = the built-in default stage).
-	Planner    string `json:"planner,omitempty"`
-	Prefetcher string `json:"prefetcher,omitempty"`
+	// Planner is the mm registry name of the planner (empty = the
+	// built-in default).
+	Planner string `json:"planner,omitempty"`
 	// TotalSimCycles sums simulated cycles over every workload — the
 	// leaderboard metric, deterministic and machine-independent.
 	TotalSimCycles uint64 `json:"totalSimCycles"`
@@ -32,8 +33,8 @@ type TournamentEntry struct {
 	RemoteAccesses uint64 `json:"remoteAccesses"`
 }
 
-// TournamentSuite is an archived tournament leaderboard: every
-// registered pipeline combination ranked by total simulated cycles over
+// TournamentSuite is an archived tournament leaderboard: every entered
+// migration planner ranked by total simulated cycles over
 // the same workload matrix. Like BenchSuite it carries enough context
 // (scale, oversubscription, workload subset) to judge comparability.
 type TournamentSuite struct {
@@ -43,7 +44,8 @@ type TournamentSuite struct {
 	OversubPercent uint64  `json:"oversubPercent"`
 	// Workloads is the matrix's workload set, in column order.
 	Workloads []string `json:"workloads"`
-	// Entries is the leaderboard, best (lowest total cycles) first.
+	// Entries is the leaderboard, best (lowest total cycles) first,
+	// equal totals in name order.
 	Entries []TournamentEntry `json:"entries"`
 }
 
@@ -60,7 +62,10 @@ func WriteTournamentSuite(w io.Writer, s *TournamentSuite) error {
 	return enc.Encode(&cp)
 }
 
-// ReadTournamentSuite parses and validates one suite.
+// ReadTournamentSuite parses and validates one suite. It accepts only
+// leaderboards the tournament can produce: distinct names, one cycle
+// count per workload summing (saturating) to the entry's total, and
+// entries ranked by ascending total with ties in name order.
 func ReadTournamentSuite(r io.Reader) (*TournamentSuite, error) {
 	var s TournamentSuite
 	dec := json.NewDecoder(r)
@@ -80,16 +85,35 @@ func ReadTournamentSuite(r io.Reader) (*TournamentSuite, error) {
 	if len(s.Entries) == 0 {
 		return nil, fmt.Errorf("resultio: tournament suite has no entries")
 	}
+	names := make(map[string]bool, len(s.Entries))
 	for i, e := range s.Entries {
 		if e.Name == "" {
 			return nil, fmt.Errorf("resultio: tournament entry %d missing name", i)
 		}
+		if names[e.Name] {
+			return nil, fmt.Errorf("resultio: duplicate tournament entry %q", e.Name)
+		}
+		names[e.Name] = true
 		if len(e.WorkloadCycles) != len(s.Workloads) {
 			return nil, fmt.Errorf("resultio: tournament entry %q has %d workload cycles for %d workloads",
 				e.Name, len(e.WorkloadCycles), len(s.Workloads))
 		}
-		if i > 0 && s.Entries[i-1].TotalSimCycles > e.TotalSimCycles {
-			return nil, fmt.Errorf("resultio: tournament entries not in leaderboard order at %q", e.Name)
+		if i > 0 {
+			prev := s.Entries[i-1]
+			if prev.TotalSimCycles > e.TotalSimCycles ||
+				prev.TotalSimCycles == e.TotalSimCycles && prev.Name > e.Name {
+				return nil, fmt.Errorf("resultio: tournament entries not in leaderboard order at %q", e.Name)
+			}
+		}
+	}
+	for _, e := range s.Entries {
+		var sum uint64
+		for _, c := range e.WorkloadCycles {
+			sum = satmath.Add(sum, c)
+		}
+		if sum != e.TotalSimCycles {
+			return nil, fmt.Errorf("resultio: tournament entry %q total %d is not its workload sum %d",
+				e.Name, e.TotalSimCycles, sum)
 		}
 	}
 	return &s, nil

@@ -83,6 +83,16 @@ func TestReadTournamentSuiteRejectsMalformed(t *testing.T) {
 		{"not in leaderboard order", func(s *TournamentSuite) {
 			s.Entries[0].TotalSimCycles = 999
 		}, "leaderboard order"},
+		{"total not the workload sum", func(s *TournamentSuite) {
+			s.Entries[0].TotalSimCycles = 101
+		}, "workload sum"},
+		{"duplicate name", func(s *TournamentSuite) {
+			s.Entries[1].Name = s.Entries[0].Name
+		}, "duplicate"},
+		{"equal totals not in name order", func(s *TournamentSuite) {
+			s.Entries[1].TotalSimCycles, s.Entries[1].WorkloadCycles = 100, []uint64{40, 60}
+			s.Entries[0], s.Entries[1] = s.Entries[1], s.Entries[0]
+		}, "leaderboard order"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -55,7 +55,9 @@ type JobRequest struct {
 	// stages).
 	Pipelines []config.PipelineSpec `json:"pipelines,omitempty"`
 	// Seeds are PolicySeed values crossed with the matrix; empty
-	// defaults to the base config's seed.
+	// defaults to the base config's seed. A seed is a replicate label in
+	// the cell identity (and so in the cache key); no simulator stage
+	// reads it, so cells differing only in seed simulate identically.
 	Seeds []uint64 `json:"seeds,omitempty"`
 
 	// Base is the base system configuration for matrix cells

@@ -14,7 +14,7 @@ import (
 // affects results, changing the workload generators, or changing the
 // simulator in any behaviour-visible way — so stale entries can never
 // be returned for a semantically different cell.
-const KeyVersion = 1
+const KeyVersion = 2
 
 // keyDoc is the canonical document whose SHA-256 is the cell's
 // content address. It is serialized with encoding/json, which emits
@@ -27,7 +27,9 @@ const KeyVersion = 1
 // differently (say, different base DeviceMemBytes that derivation
 // overwrites) share one entry. PipelineSpec and PolicySeed ride inside
 // Config, covering the (Config, PipelineSpec, workload name+scale,
-// seed) identity the cache is specified over.
+// seed) identity the cache is specified over; the seed is a replicate
+// label that no simulator stage reads, so seed-distinct cells are
+// distinct entries with identical results.
 // OversubPercent is hashed even though it only reaches Config through
 // the derived DeviceMemBytes: at tiny scales distinct percents can
 // derive identical capacities (the two-unit floor), but the percent is

@@ -424,11 +424,19 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobRequest strictly decodes one job submission (unknown fields
+// rejected), reading at most 1 MiB of it.
+func decodeJobRequest(r io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec := json.NewDecoder(io.LimitReader(r, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(r.Body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding job request: %v", err)
 		return
 	}

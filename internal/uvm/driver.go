@@ -9,16 +9,15 @@
 // memory transactions from the GPU model and turns them into near
 // accesses, remote accesses, or far-faults with migrations and evictions.
 //
-// Every policy decision is delegated to a staged pipeline of narrow
-// interfaces (internal/mm): the MigrationPlanner decides migrate versus
-// remote, the FaultBatcher forms fault batches, the PrefetchGovernor
-// groups neighbour blocks into migrations, and the EvictionEngine picks
-// victims under capacity pressure through the EvictionHost view
-// implemented in evictionhost.go. The Driver itself owns only
-// page-table state (block/chunk slots, the GMMU TLB, access counters)
-// and event sequencing (batch close, migration dispatch and landing,
-// the capacity-wait queue). Alternative heuristics plug in by registry
-// name via config.PipelineSpec, or programmatically via
+// The two policy decisions are delegated to narrow interfaces
+// (internal/mm): the MigrationPlanner decides migrate versus remote,
+// and the EvictionEngine picks victims under capacity pressure through
+// the EvictionHost view implemented in evictionhost.go. The Driver
+// itself owns page-table state (block/chunk slots with their
+// prefetch.Chunk of the configured kind, the GMMU TLB, access counters)
+// and event sequencing (fault batching, migration dispatch and landing,
+// the capacity-wait queue). Alternative planners and evictors plug in
+// by registry name via config.PipelineSpec, or programmatically via
 // NewWithPipeline, without touching this file.
 //
 // The per-block and per-chunk state lives in dense slices indexed by
@@ -42,6 +41,7 @@ import (
 	"uvmsim/internal/mm"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/policy"
+	"uvmsim/internal/prefetch"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/stats"
 	"uvmsim/internal/tier"
@@ -113,7 +113,7 @@ func (bs *blockState) resident() bool { return bs.home != tier.HostIndex }
 // chunkState tracks one 2MB chunk slot of a managed allocation.
 type chunkState struct {
 	info alloc.ChunkInfo
-	pf   mm.ChunkPrefetcher
+	pf   *prefetch.Chunk
 	// residentBlocks counts blocks currently resident.
 	residentBlocks int
 	// queuedBlocks counts blocks in enqueued-but-undispatched
@@ -155,12 +155,12 @@ type Driver struct {
 	ctrs    *counters.File
 	st      stats.Counters
 
-	// The memory-management pipeline stages (see internal/mm). Each is
-	// owned exclusively by this driver.
-	batcher mm.FaultBatcher
+	// batcher forms the far-fault batches; planner and evictor are the
+	// memory-management pipeline stages (see internal/mm), each owned
+	// exclusively by this driver.
+	batcher accumBatcher
 	planner mm.MigrationPlanner
 	evictor mm.EvictionEngine
-	pfgov   mm.PrefetchGovernor
 	// ehost is the EvictionHost view handed to the eviction engine; it
 	// lives on the driver so victim selection allocates nothing.
 	ehost evictionHost
@@ -234,8 +234,8 @@ func New(eng *sim.Engine, cfg config.Config, space *alloc.Space) *Driver {
 
 // NewWithPipeline creates a driver composed of the given pipeline
 // stages. Nil stages fall back to the built-ins derived from cfg. The
-// stages become owned by this driver: stateful stages (FaultBatcher)
-// must not be shared with another driver.
+// stages become owned by this driver and must not be shared with
+// another driver.
 func NewWithPipeline(eng *sim.Engine, cfg config.Config, space *alloc.Space, pipe mm.Pipeline) *Driver {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("uvm: %v", err))
@@ -250,10 +250,8 @@ func NewWithPipeline(eng *sim.Engine, cfg config.Config, space *alloc.Space, pip
 		link:         interconnect.New(eng, cfg.PCIeBytesPerCycle, cfg.PCIeLatency, cfg.PCIeHeaderBytes, cfg.RemoteWirePenalty),
 		topo:         topo,
 		devTier:      topo.Devices()[0],
-		batcher:      pipe.Batcher,
 		planner:      pipe.Planner,
 		evictor:      pipe.Evictor,
-		pfgov:        pipe.Prefetch,
 		ctrs:         counters.New(),
 		faultLatency: cfg.FarFaultLatencyCycles(),
 		gmmuTLB:      newTLB(cfg.TLBEntries),
@@ -271,11 +269,6 @@ func NewWithPipeline(eng *sim.Engine, cfg config.Config, space *alloc.Space, pip
 // configuration selects.
 func fillDefaults(pipe *mm.Pipeline, cfg config.Config) {
 	var err error
-	if pipe.Batcher == nil {
-		if pipe.Batcher, err = mm.NewBatcher("", cfg); err != nil {
-			panic(fmt.Sprintf("uvm: %v", err))
-		}
-	}
 	if pipe.Planner == nil {
 		if pipe.Planner, err = mm.NewPlanner("", cfg); err != nil {
 			panic(fmt.Sprintf("uvm: %v", err))
@@ -283,11 +276,6 @@ func fillDefaults(pipe *mm.Pipeline, cfg config.Config) {
 	}
 	if pipe.Evictor == nil {
 		if pipe.Evictor, err = mm.NewEvictor("", cfg); err != nil {
-			panic(fmt.Sprintf("uvm: %v", err))
-		}
-	}
-	if pipe.Prefetch == nil {
-		if pipe.Prefetch, err = mm.NewPrefetchGovernor("", cfg); err != nil {
 			panic(fmt.Sprintf("uvm: %v", err))
 		}
 	}
@@ -331,7 +319,7 @@ func (d *Driver) DeviceTier() tier.Index { return d.devTier }
 // Pipeline returns the composed memory-management stages (for
 // introspection and tests; the stages remain owned by the driver).
 func (d *Driver) Pipeline() mm.Pipeline {
-	return mm.Pipeline{Batcher: d.batcher, Planner: d.planner, Evictor: d.evictor, Prefetch: d.pfgov}
+	return mm.Pipeline{Planner: d.planner, Evictor: d.evictor}
 }
 
 // Finalize folds interconnect statistics into the counters. Idempotent.
@@ -347,7 +335,7 @@ func (d *Driver) Finalize() {
 // PendingWork reports whether any migrations are queued or in flight —
 // used by integration tests to assert clean quiescence.
 func (d *Driver) PendingWork() bool {
-	if len(d.waiting) > d.waitHead || d.batcher.Open() {
+	if len(d.waiting) > d.waitHead || d.batcher.open {
 		return true
 	}
 	for _, cs := range d.chunkArr {
@@ -391,7 +379,7 @@ func (d *Driver) chunk(c memunits.ChunkNum) *chunkState {
 	if !ok {
 		panic(fmt.Sprintf("uvm: access to unallocated chunk %d", c))
 	}
-	cs := &chunkState{info: info, pf: d.pfgov.NewChunk(int(info.Blocks()))}
+	cs := &chunkState{info: info, pf: prefetch.NewChunk(d.cfg.Prefetcher, int(info.Blocks()))}
 	if c >= memunits.ChunkNum(len(d.chunkArr)) {
 		n := uint64(c) + 1
 		if m := uint64(2 * len(d.chunkArr)); m > n {
@@ -597,7 +585,6 @@ func (d *Driver) Access(addr memunits.Addr, write bool, done func()) {
 			Count:      count,
 			RoundTrips: d.ctrs.RoundTrips(uint64(b)),
 			Mem:        d.memState(),
-			Now:        now,
 		})
 	}
 	if !migrate {
@@ -630,7 +617,7 @@ func (d *Driver) remoteAccess(addr memunits.Addr, write bool, walk sim.Cycle, do
 }
 
 // raiseFault registers a far-fault for block b and adds it to the fault
-// batcher, scheduling a processing round when this fault opened a new
+// batch, scheduling a processing round when this fault opened a new
 // batch. The batch is processed after the fault handling latency,
 // modelling the driver walking the fault buffer.
 func (d *Driver) raiseFault(b memunits.BlockNum, write bool, done func()) {
@@ -644,7 +631,7 @@ func (d *Driver) raiseFault(b memunits.BlockNum, write bool, done func()) {
 	}
 	bs.waiters = append(bs.waiters, done)
 	d.st.FarFaults++
-	if d.batcher.Add(b) {
+	if d.batcher.add(b) {
 		d.st.FaultBatches++
 		if d.o != nil {
 			d.o.batchOpenedAt = d.eng.Now()
@@ -653,11 +640,11 @@ func (d *Driver) raiseFault(b memunits.BlockNum, write bool, done func()) {
 	}
 }
 
-// processBatch closes the fault batch and runs the prefetch governor
+// processBatch closes the fault batch and runs the chunk prefetcher
 // over every fault accumulated in it, queueing one migration per
 // faulting chunk neighbourhood.
 func (d *Driver) processBatch() {
-	batch := d.batcher.Close()
+	batch := d.batcher.close()
 	if o := d.o; o != nil {
 		o.batchSize.Observe(uint64(len(batch)))
 		o.tr.Emit(obs.Span{
@@ -681,7 +668,7 @@ func (d *Driver) processBatch() {
 			blk := first + memunits.BlockNum(uint64(leaf))
 			ebs := d.block(blk)
 			if ebs.resident() || ebs.scheduled {
-				// The governor can re-report blocks that are already being
+				// The prefetcher can re-report blocks that are already being
 				// handled; skip them.
 				continue
 			}

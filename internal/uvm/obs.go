@@ -5,7 +5,6 @@ import (
 
 	"uvmsim/internal/evict"
 	"uvmsim/internal/interconnect"
-	"uvmsim/internal/mm"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
 )
@@ -58,27 +57,8 @@ func (d *Driver) SetObs(r *obs.Run) {
 		o.victimTrips = r.Reg.Histogram("uvm.evict.victim_round_trips")
 		d.publishSnapshots(r.Reg)
 		d.link.PublishMetrics(r.Reg)
-		d.publishStageMetrics(r.Reg)
 	}
 	d.o = o
-}
-
-// publishStageMetrics registers a provider for every pipeline stage that
-// implements mm.MetricPublisher (the learned stages do), exposing their
-// internal state — epoch counts, arm pulls, exploration draws — as
-// counters read at collection time.
-func (d *Driver) publishStageMetrics(reg *obs.Registry) {
-	for _, stage := range []any{d.batcher, d.planner, d.evictor, d.pfgov} {
-		pub, ok := stage.(mm.MetricPublisher)
-		if !ok {
-			continue
-		}
-		reg.RegisterProvider(func(e obs.Emitter) {
-			pub.PublishMetrics(func(name string, value uint64) {
-				e.Counter(name, value)
-			})
-		})
-	}
 }
 
 // publishSnapshots registers the provider exposing the driver's canonical

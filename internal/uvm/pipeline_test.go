@@ -7,7 +7,6 @@ import (
 	"uvmsim/internal/config"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/mm"
-	"uvmsim/internal/prefetch"
 	"uvmsim/internal/sim"
 )
 
@@ -137,57 +136,111 @@ func TestDenyPlannerServesEverythingRemotely(t *testing.T) {
 	}
 }
 
-// soloGovernor is a mock PrefetchGovernor whose chunks never group
-// neighbours: every fault migrates exactly its own block.
-type soloGovernor struct{}
-
-func (soloGovernor) Name() string { return "solo-mock" }
-func (soloGovernor) NewChunk(nBlocks int) mm.ChunkPrefetcher {
-	return prefetch.NewChunk(config.PrefetchNone, nBlocks)
-}
-
-// The PrefetchGovernor contract: migration grouping comes only from the
-// governor's chunks, so a single-block governor yields zero prefetched
+// Migration grouping comes only from the chunk prefetcher of the
+// configured kind, so the single-block kind yields zero prefetched
 // pages while demand migration still works.
 func TestSoloGovernorDisablesPrefetch(t *testing.T) {
-	r := newPipelineRig(t, nil, 4<<20, mm.Pipeline{Prefetch: soloGovernor{}})
+	r := newRig(t, func(cfg *config.Config) { cfg.Prefetcher = config.PrefetchNone }, 4<<20)
 	n := touchAll(t, r)
 	st := r.d.Stats()
 	if st.PrefetchedPages != 0 {
-		t.Fatalf("solo governor prefetched %d pages", st.PrefetchedPages)
+		t.Fatalf("prefetcher kind none prefetched %d pages", st.PrefetchedPages)
 	}
 	if st.MigratedPages != uint64(n)*memunits.PagesPerBlock {
 		t.Fatalf("migrated %d pages, want %d", st.MigratedPages, uint64(n)*memunits.PagesPerBlock)
 	}
 }
 
-// The FaultBatcher contract under the stock driver: the driver never
-// re-adds a pending block, so the deduplicating batcher must produce
-// exactly the same statistics as the accumulating default.
-func TestDedupBatcherMatchesAccumulate(t *testing.T) {
-	run := func(name string) *testRig {
-		cfg := config.Default().WithPolicy(config.PolicyAdaptive)
+// The stock driver merges a re-fault of a pending block into that
+// block's waiter list, so no block ever appears twice in one fault
+// batch: the uniqueness the batcher relies on instead of filtering.
+// Each pass issues every sector of every block (writes on even passes)
+// before the engine runs, so all of a pass's faults land in one open
+// batch; memory holds half the allocation, so later passes re-fault
+// evicted blocks and exercise eviction and write-back too.
+func TestStockBatchHasNoDuplicateBlocks(t *testing.T) {
+	r := newRig(t, func(cfg *config.Config) {
 		cfg.DeviceMemBytes = 2 * memunits.ChunkSize
-		cfg.MMPipeline.Batcher = name
-		eng := sim.NewEngine()
-		eng.SetEventBudget(50_000_000)
-		space := alloc.NewSpace()
-		a := space.Alloc("data", 4*memunits.ChunkSize, false)
-		r := &testRig{eng: eng, d: New(eng, cfg, space), space: space, a: a}
-		// A write-heavy strided pass plus a re-read pass, to exercise
-		// batching, eviction and write-back.
-		for pass := 0; pass < 3; pass++ {
-			for off := uint64(0); off < r.a.Size; off += memunits.BlockSize {
-				r.syncAccess(t, r.a.Base+memunits.Addr(off), pass%2 == 0)
+	}, 4*memunits.ChunkSize)
+	var batched uint64
+	for pass := 0; pass < 3; pass++ {
+		pending := 0
+		for off := uint64(0); off < r.a.Size; off += memunits.BlockSize {
+			for sec := uint64(0); sec < 4; sec++ {
+				pending++
+				r.d.Access(r.a.Base+memunits.Addr(off+sec*memunits.SectorSize), pass%2 == 0, func() { pending-- })
 			}
 		}
-		r.d.Finalize()
-		return r
+		seen := map[memunits.BlockNum]bool{}
+		for _, b := range r.d.batcher.batch {
+			if seen[b] {
+				t.Fatalf("pass %d: block %d appears twice in one batch", pass, b)
+			}
+			seen[b] = true
+		}
+		if len(seen) == 0 {
+			t.Fatalf("pass %d raised no faults — the check proves nothing", pass)
+		}
+		batched += uint64(len(seen))
+		r.eng.Run()
+		if pending != 0 {
+			t.Fatalf("pass %d: %d accesses never completed", pass, pending)
+		}
 	}
-	accum := run("accumulate")
-	dedup := run("dedup")
-	if *accum.d.Stats() != *dedup.d.Stats() {
-		t.Fatalf("stats diverged:\naccumulate: %+v\ndedup:      %+v", *accum.d.Stats(), *dedup.d.Stats())
+	if st := r.d.Stats(); st.FarFaults != batched || st.EvictedPages == 0 {
+		t.Fatalf("far faults %d, batched blocks %d, evicted %d; want equal counts and evictions",
+			st.FarFaults, batched, st.EvictedPages)
+	}
+}
+
+// The accumulator opens a round on the first add only and hands back
+// every added block, in order, at close.
+func TestAccumBatcherRounds(t *testing.T) {
+	var b accumBatcher
+	if b.open {
+		t.Fatal("fresh batcher is open")
+	}
+	if !b.add(3) {
+		t.Fatal("first add did not open the round")
+	}
+	if b.add(7) || b.add(3) {
+		t.Fatal("later adds re-opened the round")
+	}
+	if !b.open {
+		t.Fatal("batcher not open after add")
+	}
+	got := b.close()
+	want := []memunits.BlockNum{3, 7, 3}
+	if len(got) != len(want) {
+		t.Fatalf("batch = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("batch = %v, want %v", got, want)
+		}
+	}
+	if b.open {
+		t.Fatal("batcher still open after close")
+	}
+	if !b.add(1) {
+		t.Fatal("add after close did not open a new round")
+	}
+}
+
+// An empty close returns nothing and leaves round tracking intact.
+func TestAccumBatcherEmptyCloseIsNoOp(t *testing.T) {
+	var b accumBatcher
+	if got := b.close(); len(got) != 0 {
+		t.Fatalf("empty close returned %v", got)
+	}
+	if b.open {
+		t.Fatal("batcher open after an empty close")
+	}
+	if !b.add(9) {
+		t.Fatal("no round opened after an empty close")
+	}
+	if got := b.close(); len(got) != 1 || got[0] != 9 {
+		t.Fatalf("round after empty close = %v, want [9]", got)
 	}
 }
 
@@ -196,7 +249,7 @@ func TestDedupBatcherMatchesAccumulate(t *testing.T) {
 func TestPipelineIntrospection(t *testing.T) {
 	r := newRig(t, nil, 4<<20)
 	p := r.d.Pipeline()
-	if p.Batcher == nil || p.Planner == nil || p.Evictor == nil || p.Prefetch == nil {
+	if p.Planner == nil || p.Evictor == nil {
 		t.Fatalf("incomplete pipeline: %+v", p)
 	}
 	if p.Planner.Name() != "threshold" {

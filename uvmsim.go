@@ -207,9 +207,9 @@ type (
 	Table = report.Table
 )
 
-// Tournament runs every requested planner x prefetch-governor
-// combination over the workload matrix under oversubscription and
-// returns the deterministic leaderboard.
+// Tournament runs every requested migration planner over the workload
+// matrix under oversubscription and returns the deterministic
+// leaderboard ranked by total simulated cycles.
 var Tournament = experiments.Tournament
 
 // Figure and table regeneration entry points. MultiGPU runs the §VIII
