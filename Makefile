@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint lint-fix-check tools staticcheck govulncheck race bench bench-baseline bench-cluster-baseline bench-smoke bench-scale1 bench-scale1-smoke bench-cxl bench-cxl-smoke colo-smoke figures check ci smoke cover tournament tournament-smoke serve-smoke bench-serve
+.PHONY: build test short vet lint lint-fix-check tools staticcheck govulncheck race bench ledger colo-smoke figures check ci smoke cover tournament tournament-smoke serve-smoke
 
 # Pinned tool versions for CI (and for local installs that want to match
 # CI exactly). Bump deliberately; staticcheck versions are coupled to Go
@@ -77,43 +77,13 @@ race: vet
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Regenerate the committed perf trajectory (see README, "Profiling and
-# the performance baseline"). Run on an idle machine. The scale and
-# workload subset must match bench-smoke below: the archived Fig6And7
-# simulated-cycle total is its drift baseline.
-bench-baseline:
-	$(GO) run ./cmd/paperbench -bench-json BENCH_baseline.json -scale 0.1 -workloads bfs,sssp
-
-# Regenerate the committed cluster perf trajectory: a 4-GPU ra cluster
-# at scale 0.5, sequential vs parallel fan-out/join (see DESIGN.md §12),
-# recording wall clock and the simulated-cycle makespan checksum.
-bench-cluster-baseline:
-	$(GO) run ./cmd/paperbench -bench-cluster-json BENCH_cluster.json -scale 0.5
-
-# Behaviour-drift gate: rerun the Fig. 6/7 sweep (bfs+sssp subset at
-# scale 0.1) and fail if the deterministic simulated-cycle total drifts
-# more than ±2% from the committed baseline; then rerun the 4-GPU
-# cluster in parallel mode against its own checksum (which the
-# sequential run recorded — so this also re-proves sequential/parallel
-# equivalence).
-# Intentional behaviour changes regenerate the baselines with
-# bench-baseline / bench-cluster-baseline.
-bench-smoke:
-	$(GO) run ./cmd/paperbench -bench-compare BENCH_baseline.json -scale 0.1 -workloads bfs,sssp
-	$(GO) run ./cmd/paperbench -bench-cluster-compare BENCH_cluster.json
-
-# Regenerate the committed scale-1.0 trajectory: the full Fig. 6/7
-# matrix at paper size, timed once, recording its wall clock and
-# simulated-cycle total. Run on an idle machine; the wall clock is the
-# headline perf record.
-bench-scale1:
-	$(GO) run ./cmd/paperbench -bench-scale1-json BENCH_scale1.json
-
-# Scale-1 drift gate: re-run the Fig. 6/7 sweep at the committed
-# baseline's own scale (1.0, so this is the longest single smoke) and
-# fail when its simulated cycles drift more than ±2% from the record.
-bench-scale1-smoke:
-	$(GO) run ./cmd/paperbench -bench-scale1-compare BENCH_scale1.json
+# Behaviour-drift gate: TestCycleLedger pins the exact simulated cycles
+# (and co-location checksums) of the Fig. 6/7 sweep at scale 0.1 and
+# 1.0, the 4-GPU cluster (sequential and parallel) and the canonical
+# co-location mix under every pool policy. An intentional behaviour
+# change edits the ledger row to the value the failure prints.
+ledger:
+	$(GO) test -run TestCycleLedger -count=1 -v .
 
 figures:
 	$(GO) run ./cmd/paperbench -fig all
@@ -139,28 +109,6 @@ tournament-smoke:
 # snapshot all agree with what ran.
 serve-smoke:
 	$(GO) run ./cmd/simd -smoke
-
-# Regenerate the committed sweep-service load baseline: cold
-# (simulating) vs warm (fully cached) phases over a mixed job set with
-# 8 concurrent clients. Hard-fails unless warm throughput is >=10x cold
-# and every warm payload is byte-identical to its cold counterpart.
-bench-serve:
-	$(GO) run ./cmd/paperbench -serve-load BENCH_serve.json -scale 0.05 -serve-clients 8
-
-# Regenerate the committed co-location baseline: the canonical
-# two-GPU, three-tenant mix over the pooled CXL tier under every pool
-# policy. Deterministic — reruns produce an identical file — and the
-# generator itself fails unless counter-arbitrated replication
-# (cxl-repl) beats naive migrate-on-touch (cxl-migrate) on simulated
-# cycles, the suite's headline claim.
-bench-cxl:
-	$(GO) run ./cmd/paperbench -bench-cxl-json BENCH_cxl.json
-
-# Gate on the committed co-location baseline: re-run every scenario and
-# fail on any divergence (the runs are deterministic, so the compare is
-# exact — checksums and cycles, not a drift band).
-bench-cxl-smoke:
-	$(GO) run ./cmd/paperbench -bench-cxl-compare BENCH_cxl.json
 
 # End-to-end smoke of the multi-tenant co-location mode (DESIGN.md §15):
 # three tenants over two GPUs and a pooled CXL tier, run sequentially
@@ -195,6 +143,6 @@ smoke:
 # What CI runs (.github/workflows/ci.yml): vet + simlint + the fix
 # convergence gate + staticcheck + govulncheck, build, race-detected
 # tests, the coverage floor, the observability smoke, the tournament
-# smoke, the sweep-service smoke, the co-location smoke + baseline
-# gate, then the bench-smoke drift gate and the scale-1 drift gate.
-ci: vet lint lint-fix-check staticcheck govulncheck build race cover smoke tournament-smoke serve-smoke colo-smoke bench-cxl-smoke bench-smoke bench-scale1-smoke
+# smoke, the sweep-service smoke, the co-location smoke, then the
+# cycle ledger (whose scale-1.0 row the race run skips).
+ci: vet lint lint-fix-check staticcheck govulncheck build race cover smoke tournament-smoke serve-smoke colo-smoke ledger

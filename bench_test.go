@@ -174,9 +174,9 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 // cluster run per iteration, sequentially and in parallel mode at
 // GOMAXPROCS workers. The two modes
 // are byte-identical by design, so the makespan is reported as a custom
-// metric — behaviour drift shows up alongside speed. cmd/paperbench
-// -bench-cluster-json records the same pair at scale 0.5 as
-// BENCH_cluster.json, and -bench-cluster-compare gates on it.
+// metric — behaviour drift shows up alongside speed. TestCycleLedger
+// pins the exact makespan of the same cluster at scale 0.5, and
+// perfbench's cluster workload times multi-GPU coordination.
 func BenchmarkCluster(b *testing.B) {
 	const gpus = 4
 	for _, bc := range []struct {

@@ -1,8 +1,8 @@
 // Command simlint machine-checks the repository's determinism and
-// correctness conventions: the invariants every golden CSV and the ±2%
-// bench gate silently rely on. It is a multichecker in the spirit of
-// staticcheck's analyzer architecture, built on the stdlib-only
-// framework in internal/lint.
+// correctness conventions: the invariants every golden CSV and the
+// exact cycle ledger silently rely on. It is a multichecker in the
+// spirit of staticcheck's analyzer architecture, built on the
+// stdlib-only framework in internal/lint.
 //
 // Usage:
 //

@@ -124,11 +124,11 @@ func TestScenarioReproducibilityProperty(t *testing.T) {
 	}
 }
 
-// TestReplicationBeatsNaiveMigration pins the headline claim of
-// BENCH_cxl.json: on a co-location scenario with a read-mostly shared
-// region, counter-arbitrated replication finishes in fewer simulated
-// cycles than naive migrate-on-touch, because the naive policy
-// ping-pongs shared blocks between GPUs and serves the loser over PCIe.
+// TestReplicationBeatsNaiveMigration pins the co-location headline
+// claim: on a scenario with a read-mostly shared region,
+// counter-arbitrated replication finishes in fewer simulated cycles
+// than naive migrate-on-touch, because the naive policy ping-pongs
+// shared blocks between GPUs and serves the loser over PCIe.
 func TestReplicationBeatsNaiveMigration(t *testing.T) {
 	repl := runScenario(t, baseScenario("cxl-repl", 1, 3))
 	naive := runScenario(t, baseScenario("cxl-migrate", 1, 3))

@@ -115,7 +115,7 @@ func TournamentJob(o TournamentOptions) serve.JobRequest {
 }
 
 // ColoJobOptions parameterizes a co-location sweep job. The zero value
-// selects the canonical BENCH_cxl.json mix: bfs and sssp co-scheduled
+// selects the canonical co-location mix: bfs and sssp co-scheduled
 // on GPU 0, backprop alone on GPU 1, a 64MB pooled tier, seed 3, every
 // registered pool policy.
 type ColoJobOptions struct {
@@ -158,10 +158,9 @@ func (o ColoJobOptions) withDefaults() ColoJobOptions {
 
 // ColoJob expresses a CXL co-location pool-policy sweep as a simd job
 // submission: the tenant mix run once per pool policy, exactly the
-// scenarios `paperbench -bench-cxl-json` simulates. The runs are
+// scenarios TestCycleLedger pins for the default mix. The runs are
 // deterministic and content-addressed like every other cell, so
-// resubmitting the sweep — or regenerating the benchmark after an
-// unrelated sweep warmed the cache — is a pure cache hit.
+// resubmitting the sweep is a pure cache hit.
 func ColoJob(o ColoJobOptions) serve.JobRequest {
 	o = o.withDefaults()
 	req := serve.JobRequest{Name: "colo"}

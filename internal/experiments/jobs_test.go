@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/cxl"
@@ -10,12 +13,18 @@ import (
 	"uvmsim/internal/serve"
 )
 
-func runJob(t *testing.T, req serve.JobRequest) (*serve.ResultDoc, serve.JobStatus) {
+// newClient starts an in-process simd server and returns a client for
+// it; the server is closed when the test ends.
+func newClient(t *testing.T) *serve.Client {
 	t.Helper()
 	ts := httptest.NewServer(serve.NewServer(serve.Options{Workers: 4}).Handler())
 	t.Cleanup(ts.Close)
-	c := &serve.Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
-	st, payload, err := c.RunJob(req, nil)
+	return &serve.Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
+}
+
+func runJob(t *testing.T, req serve.JobRequest) (*serve.ResultDoc, serve.JobStatus) {
+	t.Helper()
+	st, payload, err := newClient(t).RunJob(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +117,8 @@ func TestTournamentJobMatchesInProcessTournament(t *testing.T) {
 
 // The colo job must run the tenant mix under every registered pool
 // policy, and each entry's result must match a direct in-process
-// scenario run — the job submission and `paperbench -bench-cxl-json`
-// share one execution path.
+// scenario run — the job submission and a direct scenario run share
+// one execution path.
 func TestColoJobMatchesDirectScenarios(t *testing.T) {
 	o := ColoJobOptions{Tenants: "bfs:0:1,ra:0:0", GPUs: 1, PoolMB: 32, Epochs: 3, Seed: 7}
 	req := ColoJob(o)
@@ -151,7 +160,8 @@ func TestColoJobMatchesDirectScenarios(t *testing.T) {
 	}
 }
 
-// The zero-value options select the canonical BENCH_cxl.json mix.
+// The zero-value options select the canonical co-location mix, the one
+// TestCycleLedger pins.
 func TestColoJobDefaults(t *testing.T) {
 	req := ColoJob(ColoJobOptions{})
 	if len(req.Colo) != len(mm.PoolPolicyNames()) {
@@ -159,6 +169,93 @@ func TestColoJobDefaults(t *testing.T) {
 	}
 	c := req.Colo[0]
 	if c.Tenants != "bfs:0:1,sssp:0:0,backprop:1:1" || c.GPUs != 2 || c.PoolMB != 64 || c.Seed != 3 {
-		t.Fatalf("default cell = %+v, want the canonical bench mix", c)
+		t.Fatalf("default cell = %+v, want the canonical mix", c)
+	}
+}
+
+// A warm pass over a mixed job set must be served entirely from the
+// cache: a cold pass simulates three figure sweeps and a small
+// tournament, then two concurrent clients resubmit every job. The warm
+// pass adds no cache misses or entries, returns byte-identical
+// payloads, and pushes cells at least 10x faster than the cold pass.
+func TestWarmJobSetIsFullyCached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	opt := Options{Scale: 0.05, Workloads: []string{"bfs"}}
+	var jobs []serve.JobRequest
+	for _, fig := range []string{"fig1", "fig5", "fig6"} {
+		req, err := FigureJob(fig, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, req)
+	}
+	jobs = append(jobs, TournamentJob(TournamentOptions{Options: opt, Planners: []string{"threshold", "thrash-guard"}}))
+	c := newClient(t)
+
+	// pass runs every (client, job) pair concurrently and returns the
+	// elapsed time, the cells completed and the payloads, client-major.
+	pass := func(clients int) (time.Duration, int, [][]byte) {
+		payloads := make([][]byte, clients*len(jobs))
+		var (
+			mu    sync.Mutex
+			wg    sync.WaitGroup
+			cells int
+		)
+		start := time.Now()
+		for cl := 0; cl < clients; cl++ {
+			for j := range jobs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					st, payload, err := c.RunJob(jobs[j], nil)
+					if err != nil {
+						t.Errorf("client %d job %d: %v", cl, j, err)
+						return
+					}
+					payloads[cl*len(jobs)+j] = payload
+					mu.Lock()
+					defer mu.Unlock()
+					cells += st.TotalCells
+				}()
+			}
+		}
+		wg.Wait()
+		return time.Since(start), cells, payloads
+	}
+
+	coldElapsed, coldCells, coldPayloads := pass(1)
+	if t.Failed() {
+		t.FailNow()
+	}
+	coldStats, err := c.CacheStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmElapsed, warmCells, warmPayloads := pass(2)
+	if t.Failed() {
+		t.FailNow()
+	}
+	warmStats, err := c.CacheStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Jobs in the set share cells (fig1's fitting baseline is also
+	// fig5's), so the cold pass records fewer misses than cells; the
+	// warm pass must add none.
+	if warmStats.Misses != coldStats.Misses || warmStats.Entries != coldStats.Entries {
+		t.Fatalf("warm pass was not fully cached: misses %d -> %d, entries %d -> %d",
+			coldStats.Misses, warmStats.Misses, coldStats.Entries, warmStats.Entries)
+	}
+	for i, p := range warmPayloads {
+		if !bytes.Equal(p, coldPayloads[i%len(jobs)]) {
+			t.Fatalf("client %d job %d: warm payload differs from cold payload", i/len(jobs), i%len(jobs))
+		}
+	}
+	coldRate := float64(coldCells) / coldElapsed.Seconds()
+	warmRate := float64(warmCells) / warmElapsed.Seconds()
+	if warmRate < 10*coldRate {
+		t.Fatalf("warm %.0f cells/s is not 10x cold %.1f cells/s: the cache is not doing its job", warmRate, coldRate)
 	}
 }

@@ -8,18 +8,16 @@ import (
 	"uvmsim/internal/cxl"
 )
 
-// CXLFormatVersion identifies the co-location benchmark schema; bump on
-// incompatible changes.
+// CXLFormatVersion identifies the co-location cache-entry schema; bump
+// on incompatible changes.
 const CXLFormatVersion = 1
 
-// CXLScenario is one co-location run archived in a CXLSuite: the same
-// tenant mix executed under one pool policy, with the scenario's
-// deterministic result (cycles, controller counters, per-tenant
-// accounting and the reproducibility checksum) attached verbatim.
+// CXLScenario is one archived co-location run: a tenant mix executed
+// under one pool policy, with the scenario's deterministic result
+// (cycles, controller counters, per-tenant accounting and the
+// reproducibility checksum) attached verbatim.
 type CXLScenario struct {
-	// Name labels the run inside the suite (conventionally the pool
-	// policy, since the suite holds one tenant mix under several
-	// policies).
+	// Name labels the run (conventionally the pool policy).
 	Name   string `json:"name"`
 	Policy string `json:"policy"`
 	GPUs   int    `json:"gpus"`
@@ -30,75 +28,7 @@ type CXLScenario struct {
 	Result  cxl.Result `json:"result"`
 }
 
-// CXLSuite is an archived co-location benchmark: one tenant mix run
-// under each pool policy so the policies' simulated-cycle totals can be
-// compared directly. Like BenchSuite it carries the Go version for
-// provenance, but unlike wall-clock benchmarks every field here is
-// deterministic — a regenerated suite must be byte-identical.
-type CXLSuite struct {
-	Version   int           `json:"version"`
-	GoVersion string        `json:"goVersion"`
-	Scenarios []CXLScenario `json:"scenarios"`
-}
-
-// Scenario returns the named scenario, or nil when absent.
-func (s *CXLSuite) Scenario(name string) *CXLScenario {
-	for i := range s.Scenarios {
-		if s.Scenarios[i].Name == name {
-			return &s.Scenarios[i]
-		}
-	}
-	return nil
-}
-
-// WriteCXLSuite emits the suite as indented JSON without mutating the
-// caller's struct (an unset Version is defaulted on a copy).
-func WriteCXLSuite(w io.Writer, s *CXLSuite) error {
-	cp := *s
-	if cp.Version == 0 {
-		cp.Version = CXLFormatVersion
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&cp)
-}
-
-// ReadCXLSuite parses and validates one suite.
-func ReadCXLSuite(r io.Reader) (*CXLSuite, error) {
-	var s CXLSuite
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("resultio: %w", err)
-	}
-	if err := requireEOF(dec); err != nil {
-		return nil, err
-	}
-	if s.Version != CXLFormatVersion {
-		return nil, fmt.Errorf("resultio: unsupported cxl suite version %d (want %d)", s.Version, CXLFormatVersion)
-	}
-	if len(s.Scenarios) == 0 {
-		return nil, fmt.Errorf("resultio: cxl suite has no scenarios")
-	}
-	seen := make(map[string]bool, len(s.Scenarios))
-	for i := range s.Scenarios {
-		sc := &s.Scenarios[i]
-		if sc.Name == "" {
-			return nil, fmt.Errorf("resultio: cxl scenario %d missing name", i)
-		}
-		if seen[sc.Name] {
-			return nil, fmt.Errorf("resultio: duplicate cxl scenario %q", sc.Name)
-		}
-		seen[sc.Name] = true
-		if err := validateCXLScenario(sc); err != nil {
-			return nil, err
-		}
-	}
-	return &s, nil
-}
-
-// validateCXLScenario applies the per-scenario rules shared by suite
-// files and standalone cache entries.
+// validateCXLScenario applies the per-scenario rules of a cache entry.
 func validateCXLScenario(sc *CXLScenario) error {
 	if sc.Policy == "" || sc.GPUs <= 0 || len(sc.Tenants) == 0 {
 		return fmt.Errorf("resultio: cxl scenario %q missing policy/gpus/tenants", sc.Name)

@@ -2,6 +2,7 @@ package resultio
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -47,19 +48,62 @@ func FuzzReadTournamentSuite(f *testing.F) {
 				}
 			}
 		}
-		var first, second bytes.Buffer
-		if err := WriteTournamentSuite(&first, s); err != nil {
-			t.Fatal(err)
-		}
-		again, err := ReadTournamentSuite(bytes.NewReader(first.Bytes()))
+		roundTrip(t, s, WriteTournamentSuite, ReadTournamentSuite)
+	})
+}
+
+// roundTrip writes an accepted document, reads it back and writes it
+// again: the reader must accept its own writer's output, and the two
+// encodings must be byte-identical.
+func roundTrip[T any](t *testing.T, v *T, write func(io.Writer, *T) error, read func(io.Reader) (*T, error)) {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := write(&first, v); err != nil {
+		t.Fatal(err)
+	}
+	again, err := read(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("accepted document fails its own round trip: %v", err)
+	}
+	if err := write(&second, again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("round trip changed the document:\n%s\n%s", first.Bytes(), second.Bytes())
+	}
+}
+
+// FuzzReadCellEntry hardens the sweep-cell cache-entry reader (simd
+// loads these from its cache directory): it must never panic, every
+// entry it accepts carries a key and a supported version, and accepted
+// entries survive a write/read round trip unchanged.
+func FuzzReadCellEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc string) {
+		e, err := ReadCellEntry(strings.NewReader(doc))
 		if err != nil {
-			t.Fatalf("accepted suite fails its own round trip: %v", err)
+			return
 		}
-		if err := WriteTournamentSuite(&second, again); err != nil {
-			t.Fatal(err)
+		if e.Version != CellFormatVersion || e.Key == "" || e.Record.Version != FormatVersion {
+			t.Fatalf("accepted entry with version %d, key %q, record version %d", e.Version, e.Key, e.Record.Version)
 		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("round trip changed the suite:\n%s\n%s", first.Bytes(), second.Bytes())
+		roundTrip(t, e, WriteCellEntry, ReadCellEntry)
+	})
+}
+
+// FuzzReadCXLEntry is FuzzReadCellEntry for co-location cache entries:
+// no panics, accepted entries are named, keyed, carry one tenant result
+// per tenant, and survive a write/read round trip unchanged.
+func FuzzReadCXLEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc string) {
+		e, err := ReadCXLEntry(strings.NewReader(doc))
+		if err != nil {
+			return
 		}
+		sc := &e.Scenario
+		if e.Version != CXLFormatVersion || e.Key == "" || sc.Name == "" || len(sc.Result.Tenants) != len(sc.Tenants) {
+			t.Fatalf("accepted entry with version %d, key %q, name %q, %d tenant results for %d tenants",
+				e.Version, e.Key, sc.Name, len(sc.Result.Tenants), len(sc.Tenants))
+		}
+		roundTrip(t, e, WriteCXLEntry, ReadCXLEntry)
 	})
 }

@@ -35,8 +35,8 @@ type TournamentEntry struct {
 
 // TournamentSuite is an archived tournament leaderboard: every entered
 // migration planner ranked by total simulated cycles over
-// the same workload matrix. Like BenchSuite it carries enough context
-// (scale, oversubscription, workload subset) to judge comparability.
+// the same workload matrix. It carries enough context (scale,
+// oversubscription, workload subset) to judge comparability.
 type TournamentSuite struct {
 	Version        int     `json:"version"`
 	GoVersion      string  `json:"goVersion"`

@@ -232,8 +232,10 @@ func (s *Server) job(id string) (*jobState, bool) {
 func (s *Server) runJob(j *jobState, cells []cell, colos []coloCell) {
 	defer func() {
 		if r := recover(); r != nil {
-			j.fail(fmt.Sprint(r))
+			// Count before publishing the state: a client that sees the
+			// job finish must also see it in /v1/metrics.
 			s.jobsFailed.Add(1)
+			j.fail(fmt.Sprint(r))
 		}
 	}()
 	fns := make([]func() []byte, 0, len(cells)+len(colos))
@@ -276,8 +278,8 @@ func (s *Server) runJob(j *jobState, cells []cell, colos []coloCell) {
 		buf.WriteString("\n  ]")
 	}
 	buf.WriteString("\n}\n")
-	j.finish(buf.Bytes())
 	s.jobsCompleted.Add(1)
+	j.finish(buf.Bytes())
 }
 
 // runCell executes one cell — cache hit or simulation — and returns its

@@ -226,7 +226,7 @@ var (
 	Fig7        = experiments.Fig7
 	Fig6And7    = experiments.Fig6And7
 	// Fig6And7Cycles additionally reports the sweep's deterministic
-	// simulated-cycle total (the bench-smoke drift metric).
+	// simulated-cycle total (the metric TestCycleLedger pins).
 	Fig6And7Cycles = experiments.Fig6And7Cycles
 	Fig8           = experiments.Fig8
 	Table1         = experiments.Table1
