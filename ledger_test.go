@@ -28,6 +28,21 @@ func fig67Row(scale float64, workloads ...string) func(*testing.T) []uint64 {
 	}
 }
 
+// extrasRow runs the two extra workloads, spatter and pointerchase, at
+// scale 0.1 and 125% oversubscription under Disabled and then Adaptive.
+// spatter chains a dense index stream into a gather within one warp, so
+// it is where an instruction-form mix-up between a program's stages
+// shows.
+func extrasRow(*testing.T) []uint64 {
+	var got []uint64
+	for _, name := range []string{"spatter", "pointerchase"} {
+		for _, pol := range []MigrationPolicy{PolicyDisabled, PolicyAdaptive} {
+			got = append(got, RunWorkload(name, 0.1, 125, pol, DefaultConfig()).Runtime())
+		}
+	}
+	return got
+}
+
 // clusterRow runs a 4-GPU ra cluster at scale 0.5 under Adaptive at 125%
 // oversubscription, sequentially and on two coordinator workers; the
 // two makespans must both equal the pinned one.
@@ -84,6 +99,8 @@ func TestCycleLedger(t *testing.T) {
 	rows := []ledgerRow{
 		{name: "fig67-scale0.1-bfs-sssp", run: fig67Row(0.1, "bfs", "sssp"), want: []uint64{93224877}},
 		{name: "fig67-scale1.0", long: true, run: fig67Row(1.0), want: []uint64{1011142260}},
+		// spatter Disabled, Adaptive; pointerchase Disabled, Adaptive.
+		{name: "extras-scale0.1", run: extrasRow, want: []uint64{424844, 424781, 285539, 285539}},
 		{name: "cluster-ra-4gpu-scale0.5", run: clusterRow, want: []uint64{6800942, 6800942}},
 		// Cycles and checksum for cxl-migrate, cxl-repl, pool-remote.
 		{name: "colo-canonical-mix", run: coloRow, want: []uint64{
