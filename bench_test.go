@@ -205,7 +205,7 @@ func BenchmarkCluster(b *testing.B) {
 // --- Substrate microbenchmarks ---
 
 // BenchmarkEngineSchedule measures the enqueue half of the event queue
-// in isolation: pure Schedule cost with periodic drains to bound heap
+// in isolation: pure enqueue cost with periodic drains to bound heap
 // size. Steady state must be allocation-free (see engine_alloc_test.go
 // for the hard assertion).
 func BenchmarkEngineSchedule(b *testing.B) {

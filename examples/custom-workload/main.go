@@ -64,12 +64,15 @@ func (p *probeProgram) Next(in *uvmsim.Instr) bool {
 	if end > p.hotHi {
 		end = p.hotHi
 	}
+	// The hot pass is a dense sweep, so it is issued as a run: lane i
+	// reads Base + i*Stride, and the coalescer derives the sectors
+	// without reading per-lane addresses. The cold probes above are a
+	// lane list (the GPU clears Stride before every Next).
 	in.Compute = 2
 	in.Write = p.writeHalf
 	in.NumAddrs = int(end - p.hotPos)
-	for i := p.hotPos; i < end; i++ {
-		in.Addrs[i-p.hotPos] = p.hot.Addr(i * 4)
-	}
+	in.Base = p.hot.Addr(p.hotPos * 4)
+	in.Stride = 4
 	if p.writeHalf {
 		p.hotPos = end
 	}

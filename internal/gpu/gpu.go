@@ -12,6 +12,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/memunits"
@@ -24,6 +25,14 @@ import (
 const MaxLanes = 32
 
 // Instr is one warp instruction. A zero NumAddrs means pure compute.
+//
+// A memory instruction takes one of two forms. A run (non-zero Stride)
+// is affine: lane i addresses Base + i*Stride, and Addrs is not read;
+// dense sweeps use it so the coalescer derives their sectors
+// arithmetically. A lane list (zero Stride) holds each lane's address in
+// Addrs; gathers, scatters and hand-written programs use it. The GPU
+// clears Stride before every Next call, so a program that writes only
+// Addrs always issues a lane list.
 type Instr struct {
 	// Compute is the number of issue cycles of arithmetic preceding the
 	// memory operation (or the whole instruction cost when NumAddrs is
@@ -31,10 +40,21 @@ type Instr struct {
 	Compute uint64
 	// Write marks the memory operation as a store.
 	Write bool
-	// NumAddrs is the number of active lanes; Addrs[:NumAddrs] holds the
-	// per-lane byte addresses.
+	// NumAddrs is the number of active lanes.
 	NumAddrs int
-	Addrs    [MaxLanes]memunits.Addr
+	// Base and Stride describe a run; a zero Stride selects Addrs.
+	Base   memunits.Addr
+	Stride uint64
+	// Addrs[:NumAddrs] holds the per-lane byte addresses of a lane list.
+	Addrs [MaxLanes]memunits.Addr
+}
+
+// Addr returns lane i's byte address in either form.
+func (in *Instr) Addr(i int) memunits.Addr {
+	if in.Stride != 0 {
+		return in.Base + uint64(i)*in.Stride
+	}
+	return in.Addrs[i]
 }
 
 // WarpProgram generates the instruction stream of one warp. Next fills
@@ -299,6 +319,7 @@ func (g *GPU) pickSM() *sm {
 func (g *GPU) step(w *warp) {
 	var computeCycles uint64
 	for {
+		w.instr.Stride = 0
 		if !w.prog.Next(&w.instr) {
 			g.retire(w, computeCycles)
 			return
@@ -333,18 +354,23 @@ func (g *GPU) reserve(s *sm, cycles uint64) sim.Cycle {
 }
 
 // coalesce fills w.sectors[:w.nsec] with the unique sector addresses of
-// the current instruction, in ascending order. The masking pass writes
-// straight into the warp's sectors scratch and tracks whether the lanes
-// arrived already sorted — unit-stride and broadcast patterns, the
-// overwhelming majority — so the insertion sort runs only for genuinely
-// divergent warps. n is at most 32, so even that path beats sort.Slice
-// while allocating nothing.
+// the current instruction, in ascending order. A run's sectors follow
+// from its base, stride and count (see coalesceRun). For a lane list the
+// masking pass writes straight into the warp's sectors scratch and
+// tracks whether the lanes arrived already sorted — broadcast and
+// hand-written unit-stride patterns — so the insertion sort runs only
+// for genuinely divergent warps. n is at most 32, so even that path
+// beats sort.Slice while allocating nothing.
 //
 //sim:hotpath
 func (g *GPU) coalesce(w *warp) {
 	n := w.instr.NumAddrs
 	if n > MaxLanes {
 		panic(fmt.Sprintf("gpu: instruction with %d lanes", n))
+	}
+	if w.instr.Stride != 0 {
+		w.nsec = coalesceRun(&w.sectors, w.instr.Base, w.instr.Stride, n)
+		return
 	}
 	// Single pass: mask each lane to its sector, drop duplicates of the
 	// previous kept sector (safe pre-sort: it only removes multiset
@@ -388,6 +414,35 @@ func (g *GPU) coalesce(w *warp) {
 		k = u
 	}
 	w.nsec = k
+}
+
+// coalesceRun writes the ascending unique sectors of the n-lane run
+// base + i*stride (n >= 1, stride > 0) into s and returns their count.
+// A stride of at most one sector cannot skip a sector, so the run
+// covers every sector from its first lane's to its last lane's; a
+// larger stride puts each lane in its own sector. A run whose last lane
+// wraps the address space panics.
+//
+//sim:hotpath
+func coalesceRun(s *[MaxLanes]memunits.Addr, base memunits.Addr, stride uint64, n int) int {
+	hi, span := bits.Mul64(uint64(n-1), stride)
+	last, carry := bits.Add64(base, span, 0)
+	if hi|carry != 0 {
+		panic(fmt.Sprintf("gpu: run of %d lanes at %#x stride %d wraps the address space", n, base, stride))
+	}
+	const mask = memunits.SectorSize - 1
+	if stride <= memunits.SectorSize {
+		first := base &^ mask
+		k := int((last&^mask-first)/memunits.SectorSize) + 1
+		for i := 0; i < k; i++ {
+			s[i] = first + uint64(i)*memunits.SectorSize
+		}
+		return k
+	}
+	for i := 0; i < n; i++ {
+		s[i] = (base + uint64(i)*stride) &^ mask
+	}
+	return n
 }
 
 // issueMemory sends the coalesced sectors to the memory backend and

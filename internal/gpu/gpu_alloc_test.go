@@ -9,12 +9,13 @@ import (
 	"uvmsim/internal/stats"
 )
 
-// allocProg replays a fixed stream of divergent memory instructions;
-// resettable by setting left, so one program object serves many kernel
-// launches without reallocation.
+// allocProg replays a fixed stream of divergent memory instructions, or
+// with run set a stream of affine runs; resettable by setting left, so
+// one program object serves many kernel launches without reallocation.
 type allocProg struct {
 	left int
 	base memunits.Addr
+	run  bool
 }
 
 func (p *allocProg) Next(instr *Instr) bool {
@@ -25,6 +26,16 @@ func (p *allocProg) Next(instr *Instr) bool {
 	instr.Compute = 1
 	instr.Write = p.left%3 == 0
 	instr.NumAddrs = MaxLanes
+	if p.run {
+		// Alternate a dense run spanning several sectors with a
+		// sector-per-lane one.
+		instr.Base = p.base + memunits.Addr(p.left)*memunits.SectorSize
+		instr.Stride = 12
+		if p.left%2 == 0 {
+			instr.Stride = memunits.SectorSize + 4
+		}
+		return true
+	}
 	for i := 0; i < MaxLanes; i++ {
 		// Scrambled lane order with duplicates: exercises the coalescer's
 		// insertion-sort fallback and dedup, not just the pre-sorted fast
@@ -63,14 +74,14 @@ func (b *runBackendStub) TryFastAccessRun(addrs []memunits.Addr, write bool) (si
 // asserts that, once the warp/CTA pools and the engine arena are warm,
 // a whole kernel — dispatch, batched compute, coalescing, memory issue,
 // retirement — allocates nothing.
-func runSteadyState(t *testing.T, eng *sim.Engine, mem MemoryBackend) {
+func runSteadyState(t *testing.T, eng *sim.Engine, mem MemoryBackend, runForm bool) {
 	t.Helper()
 	var st stats.Counters
 	g := New(eng, config.Default(), mem, &st)
 
 	progs := make([]*allocProg, 8)
 	for i := range progs {
-		progs[i] = &allocProg{base: memunits.Addr(i) << 20}
+		progs[i] = &allocProg{base: memunits.Addr(i) << 20, run: runForm}
 	}
 	k := Kernel{
 		Name:        "alloc-steady",
@@ -106,7 +117,7 @@ func runSteadyState(t *testing.T, eng *sim.Engine, mem MemoryBackend) {
 // TryFastAccess/Access issue loop.
 func TestKernelSteadyStateZeroAllocsPerSector(t *testing.T) {
 	eng := sim.NewEngine()
-	runSteadyState(t, eng, &fastBackend{eng: eng})
+	runSteadyState(t, eng, &fastBackend{eng: eng}, false)
 }
 
 // TestKernelSteadyStateZeroAllocsDenseRun covers the batched
@@ -114,5 +125,15 @@ func TestKernelSteadyStateZeroAllocsPerSector(t *testing.T) {
 // same-block sector runs.
 func TestKernelSteadyStateZeroAllocsDenseRun(t *testing.T) {
 	eng := sim.NewEngine()
-	runSteadyState(t, eng, &runBackendStub{fastBackend{eng: eng}})
+	runSteadyState(t, eng, &runBackendStub{fastBackend{eng: eng}}, false)
+}
+
+// TestKernelSteadyStateZeroAllocsRunInstr covers run-form instructions,
+// whose sectors the coalescer derives arithmetically, through both the
+// per-sector and the dense-run issue paths.
+func TestKernelSteadyStateZeroAllocsRunInstr(t *testing.T) {
+	eng := sim.NewEngine()
+	runSteadyState(t, eng, &fastBackend{eng: eng}, true)
+	eng = sim.NewEngine()
+	runSteadyState(t, eng, &runBackendStub{fastBackend{eng: eng}}, true)
 }

@@ -14,9 +14,9 @@
 //     indistinguishable (cycle, seq) positions — almost always a
 //     copy-paste bug that a deterministic run happily reproduces.
 //
-// The analyzer recognizes the engine by shape — methods At, After,
-// Schedule, ScheduleAfter on a type named Engine in a package named
-// sim — so fixtures and any future engine package are both covered.
+// The analyzer recognizes the engine by shape — methods At and After
+// on a type named Engine in a package named sim — so fixtures and any
+// future engine package are both covered.
 package eventseq
 
 import (
@@ -35,9 +35,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 // scheduleMethods are the Engine entry points; all take (cycle, fn).
-var scheduleMethods = map[string]bool{
-	"At": true, "After": true, "Schedule": true, "ScheduleAfter": true,
-}
+var scheduleMethods = map[string]bool{"At": true, "After": true}
 
 func run(pass *lint.Pass) {
 	for _, f := range pass.Files {

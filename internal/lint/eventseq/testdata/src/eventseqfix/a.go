@@ -9,7 +9,7 @@ func badUnderflow(e *sim.Engine, lat sim.Cycle) {
 }
 
 func badUnderflowNested(e *sim.Engine, lat sim.Cycle) {
-	e.ScheduleAfter((e.Now()-lat)/2, func() {}) // want `unsigned subtraction`
+	e.After((e.Now()-lat)/2, func() {}) // want `unsigned subtraction`
 }
 
 func additiveOK(e *sim.Engine, lat sim.Cycle) {

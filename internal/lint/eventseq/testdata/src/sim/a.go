@@ -10,7 +10,5 @@ type Engine struct{ now Cycle }
 
 func (e *Engine) Now() Cycle { return e.now }
 
-func (e *Engine) At(c Cycle, fn Event)            {}
-func (e *Engine) After(d Cycle, fn Event)         {}
-func (e *Engine) Schedule(c Cycle, fn Event)      {}
-func (e *Engine) ScheduleAfter(d Cycle, fn Event) {}
+func (e *Engine) At(c Cycle, fn Event)    {}
+func (e *Engine) After(d Cycle, fn Event) {}

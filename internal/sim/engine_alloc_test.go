@@ -4,7 +4,7 @@ import "testing"
 
 // TestEngineSteadyStateZeroAllocs asserts the hot-path contract of the
 // queue overhaul: once the heap slice, ring and slot arena have reached
-// their high-water capacity, Schedule and dispatch perform zero heap
+// their high-water capacity, scheduling and dispatch perform zero heap
 // allocations. (The event closures themselves are allocated by the
 // caller; here a single prebound closure is reused.)
 func TestEngineSteadyStateZeroAllocs(t *testing.T) {
@@ -26,7 +26,7 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 		e.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Schedule+dispatch allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state schedule+dispatch allocated %.1f times per run, want 0", allocs)
 	}
 	if fired == 0 {
 		t.Fatal("no events fired")

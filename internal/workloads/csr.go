@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"math/bits"
+
 	"uvmsim/internal/gpu"
 	"uvmsim/internal/memunits"
 )
@@ -53,16 +55,14 @@ func frontierBitmap(n int, frontier []int32) []uint64 {
 	return bm
 }
 
-func (p *maskedCSRProgram) isActive(v int) bool {
-	return p.active[v/64]&(1<<(uint(v)%64)) != 0
-}
-
-// nextActive returns the first active node in [from, to), or to.
+// nextActive returns the first active node in [from, to), or to. It
+// scans the bitmap a word at a time.
 func (p *maskedCSRProgram) nextActive(from, to int) int {
-	for v := from; v < to; v++ {
-		if p.isActive(v) {
-			return v
+	for from < to {
+		if word := p.active[from/64] >> (uint(from) % 64); word != 0 {
+			return min(from+bits.TrailingZeros64(word), to)
 		}
+		from = (from/64 + 1) * 64
 	}
 	return to
 }
@@ -84,19 +84,16 @@ func (p *maskedCSRProgram) Next(in *gpu.Instr) bool {
 			in.Write = false
 			in.Compute = p.compute
 			in.NumAddrs = gEnd - p.group
-			for v := p.group; v < gEnd; v++ {
-				in.Addrs[v-p.group] = p.maskBase + uint64(v)*elemSize
-			}
+			in.Base = p.maskBase + uint64(p.group)*elemSize
+			in.Stride = elemSize
 			p.phase = 1
 			return true
 		case 1:
 			// Gather the row pointers of the group's active nodes.
 			n := 0
-			for v := p.group; v < gEnd && n < lanes; v++ {
-				if p.isActive(v) {
-					in.Addrs[n] = p.rowPtrBase + uint64(v)*elemSize
-					n++
-				}
+			for v := p.nextActive(p.group, gEnd); v < gEnd; v = p.nextActive(v+1, gEnd) {
+				in.Addrs[n] = p.rowPtrBase + uint64(v)*elemSize
+				n++
 			}
 			if n == 0 {
 				p.group = gEnd
@@ -130,9 +127,8 @@ func (p *maskedCSRProgram) Next(in *gpu.Instr) bool {
 				in.Write = false
 				in.Compute = 0
 				in.NumAddrs = n
-				for i := 0; i < n; i++ {
-					in.Addrs[i] = p.edgeBase + uint64(p.edgePos+int32(i))*elemSize
-				}
+				in.Base = p.edgeBase + uint64(p.edgePos)*elemSize
+				in.Stride = elemSize
 				if p.weightBase != 0 {
 					p.subPhase = 1
 				} else {
@@ -143,9 +139,8 @@ func (p *maskedCSRProgram) Next(in *gpu.Instr) bool {
 				in.Write = false
 				in.Compute = 0
 				in.NumAddrs = p.groupLen
-				for i := 0; i < p.groupLen; i++ {
-					in.Addrs[i] = p.weightBase + uint64(p.edgePos+int32(i))*elemSize
-				}
+				in.Base = p.weightBase + uint64(p.edgePos)*elemSize
+				in.Stride = elemSize
 				p.subPhase = 2
 				return true
 			default: // divergent scatter write into the hot dist array

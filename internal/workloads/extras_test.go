@@ -48,15 +48,15 @@ func TestPointerChaseIsDependent(t *testing.T) {
 	var in gpu.Instr
 	var prev uint64
 	distinct := map[uint64]bool{}
-	for i := 0; p.Next(&in) && i < 64; i++ {
+	for i := 0; nextInstr(p, &in) && i < 64; i++ {
 		if in.NumAddrs != 1 {
 			t.Fatalf("chase instr has %d lanes, want 1", in.NumAddrs)
 		}
-		if i > 0 && in.Addrs[0] == prev {
+		if i > 0 && in.Addr(0) == prev {
 			t.Fatal("chain did not advance")
 		}
-		prev = in.Addrs[0]
-		distinct[in.Addrs[0]] = true
+		prev = in.Addr(0)
+		distinct[in.Addr(0)] = true
 	}
 	if len(distinct) < 16 {
 		t.Fatalf("chain revisits too quickly: %d distinct addresses", len(distinct))
@@ -72,17 +72,17 @@ func TestSpatterMixesStridedAndRandom(t *testing.T) {
 	var in gpu.Instr
 	sawGather := false
 	buffer := b.Space.Allocations()[0]
-	for p.Next(&in) {
+	for nextInstr(p, &in) {
 		if in.NumAddrs < 2 {
 			continue
 		}
-		if !buffer.Contains(in.Addrs[0]) {
+		if !buffer.Contains(in.Addr(0)) {
 			continue
 		}
 		// Check divergence in a buffer access group.
 		sectors := map[uint64]bool{}
 		for i := 0; i < in.NumAddrs; i++ {
-			sectors[in.Addrs[i]/128] = true
+			sectors[in.Addr(i)/128] = true
 		}
 		if len(sectors) > 4 {
 			sawGather = true

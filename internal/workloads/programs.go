@@ -25,7 +25,7 @@ func readOp(a *alloc.Allocation) operand  { return operand{base: a.Base} }
 func writeOp(a *alloc.Allocation) operand { return operand{base: a.Base, write: true} }
 
 // streamProgram is a dense sequential sweep: for each group of 32
-// consecutive elements in [lo, hi), it issues one instruction per
+// consecutive elements in [lo, hi), it issues one run instruction per
 // operand (same element indices in each array), with compute cycles
 // attached to the first instruction of each group.
 type streamProgram struct {
@@ -53,9 +53,8 @@ func (p *streamProgram) Next(in *gpu.Instr) bool {
 	op := p.ops[p.opIdx]
 	in.Write = op.write
 	in.NumAddrs = end - p.pos
-	for i := p.pos; i < end; i++ {
-		in.Addrs[i-p.pos] = op.base + uint64(i)*elemSize
-	}
+	in.Base = op.base + uint64(p.pos)*elemSize
+	in.Stride = elemSize
 	if p.opIdx == 0 {
 		in.Compute = p.compute
 	} else {
@@ -136,8 +135,8 @@ func (p *seqProgram) Next(in *gpu.Instr) bool {
 
 // stridedProgram sweeps rows of a row-major 2D array: for each row in
 // [rowLo, rowHi), it covers columns [colLo, colHi) in 32-element groups,
-// one instruction per operand. Rows are rowStride elements apart, which
-// is what spreads wavefront traversals (nw) across pages.
+// one run instruction per operand. Rows are rowStride elements apart,
+// which is what spreads wavefront traversals (nw) across pages.
 type stridedProgram struct {
 	ops            []operand
 	rowLo, rowHi   int
@@ -166,10 +165,8 @@ func (p *stridedProgram) Next(in *gpu.Instr) bool {
 	op := p.ops[p.opIx]
 	in.Write = op.write
 	in.NumAddrs = end - p.col
-	rowBase := op.base + uint64(p.row*p.rowStride)*elemSize
-	for c := p.col; c < end; c++ {
-		in.Addrs[c-p.col] = rowBase + uint64(c)*elemSize
-	}
+	in.Base = op.base + uint64(p.row*p.rowStride+p.col)*elemSize
+	in.Stride = elemSize
 	if p.opIx == 0 {
 		in.Compute = p.compute
 	} else {

@@ -145,7 +145,7 @@ func TestMaskedCSRDenseMaskSweep(t *testing.T) {
 	p := newMaskedCSR(g, 0x100000, 0x200000, 0x300000, 0x400000, 0, bm, 0, 2048, 4)
 	var in gpu.Instr
 	count := 0
-	for p.Next(&in) {
+	for nextInstr(p, &in) {
 		count++
 		if in.Write {
 			t.Fatal("mask sweep issued a write")
@@ -153,8 +153,8 @@ func TestMaskedCSRDenseMaskSweep(t *testing.T) {
 		if in.NumAddrs != 32 {
 			t.Fatalf("group of %d lanes", in.NumAddrs)
 		}
-		if in.Addrs[0] < 0x100000 || in.Addrs[0] >= 0x100000+2048*4 {
-			t.Fatalf("mask read outside mask array: %#x", in.Addrs[0])
+		if in.Addr(0) < 0x100000 || in.Addr(0) >= 0x100000+2048*4 {
+			t.Fatalf("mask read outside mask array: %#x", in.Addr(0))
 		}
 	}
 	if count != 2048/32 {
@@ -175,13 +175,13 @@ func TestMaskedCSRActiveNodesWalkEdges(t *testing.T) {
 	p := newMaskedCSR(g, maskB, rowB, edgeB, distB, 0, bm, 0, 2048, 4)
 	var in gpu.Instr
 	var maskReads, rowReads, edgeReads, distWrites int
-	for p.Next(&in) {
+	for nextInstr(p, &in) {
 		switch {
-		case in.Addrs[0] >= maskB && in.Addrs[0] < rowB:
+		case in.Addr(0) >= maskB && in.Addr(0) < rowB:
 			maskReads++
-		case in.Addrs[0] >= rowB && in.Addrs[0] < edgeB:
+		case in.Addr(0) >= rowB && in.Addr(0) < edgeB:
 			rowReads++
-		case in.Addrs[0] >= edgeB && in.Addrs[0] < distB:
+		case in.Addr(0) >= edgeB && in.Addr(0) < distB:
 			edgeReads++
 			if in.Write {
 				t.Fatal("edge read marked as write")
@@ -212,8 +212,8 @@ func TestMaskedCSRWeightsPhase(t *testing.T) {
 	p := newMaskedCSR(g, 0x1000000, 0x2000000, 0x3000000, 0x4000000, weightB, bm, 0, 1024, 4)
 	var in gpu.Instr
 	weightReads := 0
-	for p.Next(&in) {
-		if in.Addrs[0] >= weightB && in.Addrs[0] < weightB+uint64(g.NumEdges())*4 {
+	for nextInstr(p, &in) {
+		if in.Addr(0) >= weightB && in.Addr(0) < weightB+uint64(g.NumEdges())*4 {
 			weightReads++
 		}
 	}

@@ -9,6 +9,13 @@ import (
 
 const testScale = 0.02
 
+// nextInstr advances p into in the way the GPU does: it clears Stride
+// first, so a lane-list instruction never inherits an earlier run.
+func nextInstr(p gpu.WarpProgram, in *gpu.Instr) bool {
+	in.Stride = 0
+	return p.Next(in)
+}
+
 // drainWarp runs a warp program to completion, validating that every
 // address lies inside an allocation of the build and returning the
 // instruction count.
@@ -16,7 +23,7 @@ func drainWarp(t *testing.T, b *Built, p gpu.WarpProgram) int {
 	t.Helper()
 	var in gpu.Instr
 	count := 0
-	for p.Next(&in) {
+	for nextInstr(p, &in) {
 		count++
 		if count > 5_000_000 {
 			t.Fatal("warp program does not terminate")
@@ -25,12 +32,12 @@ func drainWarp(t *testing.T, b *Built, p gpu.WarpProgram) int {
 			t.Fatalf("instr with %d lanes", in.NumAddrs)
 		}
 		for i := 0; i < in.NumAddrs; i++ {
-			a := b.Space.Find(in.Addrs[i])
+			a := b.Space.Find(in.Addr(i))
 			if a == nil {
-				t.Fatalf("address %#x outside all allocations", in.Addrs[i])
+				t.Fatalf("address %#x outside all allocations", in.Addr(i))
 			}
-			if off := in.Addrs[i] - a.Base; off >= a.UserSize {
-				t.Fatalf("address %#x beyond user size of %s", in.Addrs[i], a.Name)
+			if off := in.Addr(i) - a.Base; off >= a.UserSize {
+				t.Fatalf("address %#x beyond user size of %s", in.Addr(i), a.Name)
 			}
 		}
 	}
@@ -127,8 +134,8 @@ func TestBuildsAreDeterministic(t *testing.T) {
 		p2 := b2.Kernels[0].NewWarp(0, 0)
 		var i1, i2 gpu.Instr
 		for n := 0; n < 100; n++ {
-			ok1 := p1.Next(&i1)
-			ok2 := p2.Next(&i2)
+			ok1 := nextInstr(p1, &i1)
+			ok2 := nextInstr(p2, &i2)
 			if ok1 != ok2 {
 				t.Fatalf("%s: stream lengths differ", name)
 			}
@@ -141,8 +148,8 @@ func TestBuildsAreDeterministic(t *testing.T) {
 			for k := 0; k < i1.NumAddrs; k++ {
 				// Addresses are relative to per-build bases; compare
 				// offsets within the first allocation instead.
-				o1 := i1.Addrs[k] - b1.Space.Allocations()[0].Base
-				o2 := i2.Addrs[k] - b2.Space.Allocations()[0].Base
+				o1 := i1.Addr(k) - b1.Space.Allocations()[0].Base
+				o2 := i2.Addr(k) - b2.Space.Allocations()[0].Base
 				if o1 != o2 {
 					t.Fatalf("%s: instr %d lane %d offset %#x vs %#x", name, n, k, o1, o2)
 				}
@@ -165,7 +172,7 @@ func TestStreamProgramAddresses(t *testing.T) {
 	// array at offset 0 with 32 consecutive lanes.
 	p := b.Kernels[0].NewWarp(0, 0)
 	var in gpu.Instr
-	if !p.Next(&in) {
+	if !nextInstr(p, &in) {
 		t.Fatal("empty program")
 	}
 	ey := b.Space.Allocations()[1] // ex, ey, hz order: ex=0? Alloc order: ex, ey, hz
@@ -175,8 +182,8 @@ func TestStreamProgramAddresses(t *testing.T) {
 			ey = a
 		}
 	}
-	if in.Addrs[0] != ey.Base {
-		t.Fatalf("first address %#x, want ey base %#x", in.Addrs[0], ey.Base)
+	if in.Addr(0) != ey.Base {
+		t.Fatalf("first address %#x, want ey base %#x", in.Addr(0), ey.Base)
 	}
 	if in.Write {
 		t.Fatal("first op should be a read")
@@ -185,7 +192,7 @@ func TestStreamProgramAddresses(t *testing.T) {
 		t.Fatalf("lanes = %d, want 32", in.NumAddrs)
 	}
 	for i := 1; i < in.NumAddrs; i++ {
-		if in.Addrs[i] != in.Addrs[i-1]+elemSize {
+		if in.Addr(i) != in.Addr(i-1)+elemSize {
 			t.Fatal("dense lanes not consecutive")
 		}
 	}
@@ -195,27 +202,27 @@ func TestGatherProgramDivergence(t *testing.T) {
 	b := RA(testScale)
 	p := b.Kernels[0].NewWarp(0, 0)
 	var in gpu.Instr
-	if !p.Next(&in) {
+	if !nextInstr(p, &in) {
 		t.Fatal("empty program")
 	}
 	// Random indices: expect addresses in many distinct sectors.
 	sectors := map[memunits.Addr]bool{}
 	for i := 0; i < in.NumAddrs; i++ {
-		sectors[in.Addrs[i]/memunits.SectorSize] = true
+		sectors[in.Addr(i)/memunits.SectorSize] = true
 	}
 	if len(sectors) < 8 {
 		t.Fatalf("ra first instr touches only %d sectors; not divergent", len(sectors))
 	}
 	// Read must be followed by a write to the same addresses (RMW).
 	read := in
-	if !p.Next(&in) {
+	if !nextInstr(p, &in) {
 		t.Fatal("missing write half of RMW")
 	}
 	if !in.Write || in.NumAddrs != read.NumAddrs {
 		t.Fatalf("second instr not matching write: write=%v lanes=%d", in.Write, in.NumAddrs)
 	}
 	for i := 0; i < in.NumAddrs; i++ {
-		if in.Addrs[i] != read.Addrs[i] {
+		if in.Addr(i) != read.Addr(i) {
 			t.Fatal("RMW write addresses differ from read")
 		}
 	}
