@@ -43,6 +43,21 @@ func extrasRow(*testing.T) []uint64 {
 	return got
 }
 
+// thrashRow runs ra at scale 2 and 150% oversubscription with p = 8
+// under each policy, returning runtime, evicted pages and written-back
+// pages per policy. It is the eviction- and write-back-heavy cell: the
+// LFU chunk scores and dirty flags decide every victim.
+func thrashRow(*testing.T) []uint64 {
+	cfg := DefaultConfig()
+	cfg.Penalty = 8
+	var got []uint64
+	for _, pol := range Policies() {
+		r := RunWorkload("ra", 2, 150, pol, cfg)
+		got = append(got, r.Runtime(), r.Counters.EvictedPages, r.Counters.WrittenBackPages)
+	}
+	return got
+}
+
 // clusterRow runs a 4-GPU ra cluster at scale 0.5 under Adaptive at 125%
 // oversubscription, sequentially and on two coordinator workers; the
 // two makespans must both equal the pinned one.
@@ -101,6 +116,14 @@ func TestCycleLedger(t *testing.T) {
 		{name: "fig67-scale1.0", long: true, run: fig67Row(1.0), want: []uint64{1011142260}},
 		// spatter Disabled, Adaptive; pointerchase Disabled, Adaptive.
 		{name: "extras-scale0.1", run: extrasRow, want: []uint64{424844, 424781, 285539, 285539}},
+		// Runtime, evicted and written-back pages for Disabled, Always,
+		// Oversub, Adaptive.
+		{name: "thrash-ra-scale2-150", run: thrashRow, want: []uint64{
+			196264878, 497328, 467840,
+			192646360, 487424, 459104,
+			196030362, 496816, 467008,
+			26680551, 53424, 48912,
+		}},
 		{name: "cluster-ra-4gpu-scale0.5", run: clusterRow, want: []uint64{6800942, 6800942}},
 		// Cycles and checksum for cxl-migrate, cxl-repl, pool-remote.
 		{name: "colo-canonical-mix", run: coloRow, want: []uint64{
