@@ -3,14 +3,18 @@
 // block, with the low 27 bits counting accesses (both device-local and
 // remote, unlike Volta's remote-only hardware counters) and the top 5
 // bits counting round trips — the number of times the block has been
-// evicted from device memory.
+// evicted from device memory. Alongside the registers the file keeps
+// each 2MB chunk's access sum, the LFU replacement policy's score.
 //
 // When either field of any block saturates, the corresponding field of
 // every block is halved rather than reset, preserving the relative view
 // of hotness across allocations.
 package counters
 
-import "uvmsim/internal/satmath"
+import (
+	"uvmsim/internal/memunits"
+	"uvmsim/internal/satmath"
+)
 
 // Bit widths of the two fields packed into the 32-bit register.
 const (
@@ -29,14 +33,23 @@ type entry struct {
 	present bool
 }
 
+// chunkRegs holds the registers of one 2MB chunk's 32 blocks and their
+// running access sum, the chunk's LFU score. Every bump adds to sum and
+// every halving sweep rebuilds it, so it always equals the sum of the
+// blocks' counts and scoring a chunk is one load.
+type chunkRegs struct {
+	sum    uint64
+	blocks [memunits.BlocksPerChunk]entry
+}
+
 // File is the per-64KB-block counter store maintained by the driver.
 // Blocks are keyed by global basic-block number (virtual address / 64KB);
 // those numbers are small and dense, so the registers live in a flat
-// slice indexed by block number — the counter bump on every near access
-// is a single array load away, and the halving sweeps are linear scans.
-// The zero value is not usable; call New.
+// slice of chunks indexed by block / BlocksPerChunk — the counter bump
+// on every near access is a single array load away, and the halving
+// sweeps are linear scans. The zero value is not usable; call New.
 type File struct {
-	blocks  []entry
+	chunks  []chunkRegs
 	tracked int
 
 	// Saturation statistics, exposed for tests and reports.
@@ -50,30 +63,36 @@ func New() *File {
 	return &File{}
 }
 
+// get returns the block's register, creating it, and its chunk.
+//
 //sim:hotpath
-func (f *File) get(block uint64) *entry {
-	if block >= uint64(len(f.blocks)) {
-		n := satmath.Add(block, 1)
-		if m := uint64(2 * len(f.blocks)); m > n {
+func (f *File) get(block uint64) (*chunkRegs, *entry) {
+	c := block / memunits.BlocksPerChunk
+	if c >= uint64(len(f.chunks)) {
+		n := satmath.Add(c, 1)
+		if m := uint64(2 * len(f.chunks)); m > n {
 			n = m
 		}
 		//simlint:allow hotalloc -- doubling grow path runs O(log n) times, amortized free
-		grown := make([]entry, n)
-		copy(grown, f.blocks)
-		f.blocks = grown
+		grown := make([]chunkRegs, n)
+		copy(grown, f.chunks)
+		f.chunks = grown
 	}
-	e := &f.blocks[block]
+	r := &f.chunks[c]
+	e := &r.blocks[block%memunits.BlocksPerChunk]
 	if !e.present {
 		e.present = true
 		f.tracked++
 	}
-	return e
+	return r, e
 }
 
 // at returns the block's register or nil when it has none.
 func (f *File) at(block uint64) *entry {
-	if block < uint64(len(f.blocks)) && f.blocks[block].present {
-		return &f.blocks[block]
+	if c := block / memunits.BlocksPerChunk; c < uint64(len(f.chunks)) {
+		if e := &f.chunks[c].blocks[block%memunits.BlocksPerChunk]; e.present {
+			return e
+		}
 	}
 	return nil
 }
@@ -84,11 +103,12 @@ func (f *File) at(block uint64) *entry {
 //sim:hotpath
 func (f *File) Access(block uint64) uint64 {
 	f.totalAccesses++
-	e := f.get(block)
+	r, e := f.get(block)
 	if e.access == MaxAccess {
 		f.halveAccess()
 	}
 	e.access++
+	r.sum++
 	return uint64(e.access)
 }
 
@@ -101,9 +121,10 @@ func (f *File) Access(block uint64) uint64 {
 //sim:hotpath
 func (f *File) AccessRun(block uint64, k uint64) uint64 {
 	f.totalAccesses = satmath.Add(f.totalAccesses, k)
-	e := f.get(block)
+	r, e := f.get(block)
 	if satmath.Add(uint64(e.access), k) <= MaxAccess {
 		e.access += uint32(k)
+		r.sum = satmath.Add(r.sum, k)
 		return uint64(e.access)
 	}
 	for ; k > 0; k-- {
@@ -111,6 +132,7 @@ func (f *File) AccessRun(block uint64, k uint64) uint64 {
 			f.halveAccess()
 		}
 		e.access++
+		r.sum++
 	}
 	return uint64(e.access)
 }
@@ -134,34 +156,34 @@ func (f *File) RoundTrips(block uint64) uint64 {
 // NoteEviction records one round trip for the block. On saturation every
 // block's round-trip count is halved first.
 func (f *File) NoteEviction(block uint64) {
-	e := f.get(block)
+	_, e := f.get(block)
 	if e.trips == MaxRoundTrip {
 		f.halveTrips()
 	}
 	e.trips++
 }
 
-// ResetAccess clears the access count of one block. The driver uses this
-// when an allocation is freed.
-func (f *File) ResetAccess(block uint64) {
-	if e := f.at(block); e != nil {
-		e.access = 0
-	}
-}
-
-// halveAccess halves every block's access count (saturation policy).
+// halveAccess halves every block's access count (saturation policy)
+// and rebuilds the chunk sums in the same sweep.
 func (f *File) halveAccess() {
 	f.accessHalvings++
-	for i := range f.blocks {
-		f.blocks[i].access >>= 1
+	for c := range f.chunks {
+		r := &f.chunks[c]
+		r.sum = 0
+		for i := range r.blocks {
+			r.blocks[i].access >>= 1
+			r.sum = satmath.Add(r.sum, uint64(r.blocks[i].access))
+		}
 	}
 }
 
 // halveTrips halves every block's round-trip count.
 func (f *File) halveTrips() {
 	f.tripHalvings++
-	for i := range f.blocks {
-		f.blocks[i].trips >>= 1
+	for c := range f.chunks {
+		for i := range f.chunks[c].blocks {
+			f.chunks[c].blocks[i].trips >>= 1
+		}
 	}
 }
 
@@ -178,34 +200,26 @@ func (f *File) Halvings() (access, trips uint64) {
 // Tracked returns the number of blocks with a register.
 func (f *File) Tracked() int { return f.tracked }
 
-// SumCounts returns the total access count over a block range
-// [first, first+n). The LFU eviction policy uses this to score 2MB
-// chunks.
-func (f *File) SumCounts(first uint64, n uint64) uint64 {
-	var sum uint64
-	end := satmath.Add(first, n)
-	if lim := uint64(len(f.blocks)); end > lim {
-		end = lim
+// ChunkScore returns the total access count of the 2MB chunk's blocks,
+// the score the LFU eviction policy ranks chunks by.
+func (f *File) ChunkScore(chunk uint64) uint64 {
+	if chunk < uint64(len(f.chunks)) {
+		return f.chunks[chunk].sum
 	}
-	for b := first; b < end; b++ {
-		sum = satmath.Add(sum, uint64(f.blocks[b].access))
-	}
-	return sum
+	return 0
 }
 
 // MaxRoundTrips returns the largest round-trip count over a block range.
 // The Adaptive policy pins a whole migration unit as hard as its most
 // thrashed block.
 func (f *File) MaxRoundTrips(first uint64, n uint64) uint64 {
-	var max uint64
+	var trips uint64
 	end := satmath.Add(first, n)
-	if lim := uint64(len(f.blocks)); end > lim {
+	if lim := satmath.Mul(uint64(len(f.chunks)), memunits.BlocksPerChunk); end > lim {
 		end = lim
 	}
 	for b := first; b < end; b++ {
-		if r := uint64(f.blocks[b].trips); r > max {
-			max = r
-		}
+		trips = max(trips, f.RoundTrips(b))
 	}
-	return max
+	return trips
 }

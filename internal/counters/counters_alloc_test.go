@@ -37,7 +37,7 @@ func TestAccessRunSaturationZeroAllocs(t *testing.T) {
 	f := New()
 	f.Access(0) // warm the slice
 	allocs := testing.AllocsPerRun(100, func() {
-		f.get(0).access = MaxAccess - 4
+		reg(f, 0).access = MaxAccess - 4
 		f.AccessRun(0, 16) // crosses saturation, forces a halving sweep
 	})
 	if allocs != 0 {

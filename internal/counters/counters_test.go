@@ -3,6 +3,8 @@ package counters
 import (
 	"testing"
 	"testing/quick"
+
+	"uvmsim/internal/memunits"
 )
 
 func TestFieldWidths(t *testing.T) {
@@ -50,8 +52,8 @@ func TestRoundTrips(t *testing.T) {
 func TestAccessSaturationHalvesAll(t *testing.T) {
 	f := New()
 	// Force block 1 to the cap, give block 2 a known count.
-	f.get(1).access = MaxAccess
-	f.get(2).access = 100
+	reg(f, 1).access = MaxAccess
+	reg(f, 2).access = 100
 	f.Access(1) // triggers halving, then increments
 	if got := f.Count(1); got != MaxAccess/2+1 {
 		t.Fatalf("saturated block count = %d, want %d", got, MaxAccess/2+1)
@@ -67,8 +69,8 @@ func TestAccessSaturationHalvesAll(t *testing.T) {
 
 func TestTripSaturationHalvesAll(t *testing.T) {
 	f := New()
-	f.get(1).trips = MaxRoundTrip
-	f.get(2).trips = 10
+	reg(f, 1).trips = MaxRoundTrip
+	reg(f, 2).trips = 10
 	f.NoteEviction(1)
 	if got := f.RoundTrips(1); got != MaxRoundTrip/2+1 {
 		t.Fatalf("saturated trips = %d, want %d", got, MaxRoundTrip/2+1)
@@ -84,9 +86,9 @@ func TestHalvingPreservesOrderProperty(t *testing.T) {
 		a %= MaxAccess
 		b %= MaxAccess
 		cf := New()
-		cf.get(1).access = a
-		cf.get(2).access = b
-		cf.get(3).access = MaxAccess
+		reg(cf, 1).access = a
+		reg(cf, 2).access = b
+		reg(cf, 3).access = MaxAccess
 		cf.Access(3) // halve sweep
 		x, y := cf.Count(1), cf.Count(2)
 		switch {
@@ -108,8 +110,8 @@ func TestHalvingPreservesOrderProperty(t *testing.T) {
 func TestFieldBoundsProperty(t *testing.T) {
 	f := func(nAccess uint16, nEvict uint8) bool {
 		cf := New()
-		cf.get(0).access = MaxAccess - 3 // start near the cliff
-		cf.get(0).trips = MaxRoundTrip - 1
+		reg(cf, 0).access = MaxAccess - 3 // start near the cliff
+		reg(cf, 0).trips = MaxRoundTrip - 1
 		for i := 0; i < int(nAccess); i++ {
 			cf.Access(0)
 		}
@@ -123,40 +125,90 @@ func TestFieldBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestSumCounts(t *testing.T) {
-	f := New()
-	f.get(10).access = 3
-	f.get(11).access = 4
-	f.get(13).access = 100 // outside range
-	if got := f.SumCounts(10, 3); got != 7 {
-		t.Fatalf("SumCounts = %d, want 7", got)
+// naiveChunkSum is the reference the running chunk sums are checked
+// against: the sum of Count over the chunk's 32 blocks.
+func naiveChunkSum(f *File, chunk uint64) uint64 {
+	var sum uint64
+	first := memunits.FirstBlockOfChunk(chunk)
+	for b := first; b < first+memunits.BlocksPerChunk; b++ {
+		sum += f.Count(b)
+	}
+	return sum
+}
+
+// reg returns the block's register, creating it. Tests that set a count
+// through it bypass the chunk sum.
+func reg(f *File, block uint64) *entry {
+	_, e := f.get(block)
+	return e
+}
+
+// setCount puts the block's register at count and rebuilds its chunk's
+// sum from the registers, the way a halving sweep does.
+func setCount(f *File, block uint64, count uint32) {
+	r, e := f.get(block)
+	e.access = count
+	r.sum = naiveChunkSum(f, memunits.ChunkOfBlock(block))
+}
+
+// Property: after every operation of a random Access, AccessRun and
+// NoteEviction sequence over a few chunks, each chunk's score equals the
+// naive sum of its blocks' counts. One operation kind starts a block
+// just below the cap and runs past it, so halving sweeps fire in the
+// middle of AccessRun's per-increment fallback.
+func TestChunkScoreMatchesBlockSumProperty(t *testing.T) {
+	const chunks = 3
+	midRunHalvings := 0
+	prop := func(ops []uint32) bool {
+		f := New()
+		for _, op := range ops {
+			b := uint64(op>>8) % (chunks * memunits.BlocksPerChunk)
+			k := uint64(op>>4&0xf) + 2
+			switch op % 4 {
+			case 0:
+				f.Access(b)
+			case 1:
+				f.AccessRun(b, k)
+			case 2:
+				f.NoteEviction(b)
+			case 3:
+				// The cap is reached after k/2 increments of k.
+				setCount(f, b, uint32(MaxAccess-k/2))
+				before, _ := f.Halvings()
+				f.AccessRun(b, k)
+				if after, _ := f.Halvings(); after != before+1 {
+					t.Errorf("AccessRun(%d) from the cap: %d halvings, want 1", k, after-before)
+					return false
+				}
+				midRunHalvings++
+			}
+			for c := uint64(0); c <= chunks; c++ {
+				if got, want := f.ChunkScore(c), naiveChunkSum(f, c); got != want {
+					t.Errorf("op %#x: chunk %d score %d, block sum %d", op, c, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if midRunHalvings == 0 {
+		t.Fatal("no halving sweep fired mid-AccessRun")
 	}
 }
 
 func TestMaxRoundTrips(t *testing.T) {
 	f := New()
-	f.get(20).trips = 2
-	f.get(22).trips = 7
+	reg(f, 20).trips = 2
+	reg(f, 22).trips = 7
 	if got := f.MaxRoundTrips(20, 4); got != 7 {
 		t.Fatalf("MaxRoundTrips = %d, want 7", got)
 	}
 	if got := f.MaxRoundTrips(30, 4); got != 0 {
 		t.Fatalf("MaxRoundTrips over empty range = %d, want 0", got)
 	}
-}
-
-func TestResetAccess(t *testing.T) {
-	f := New()
-	f.Access(5)
-	f.NoteEviction(5)
-	f.ResetAccess(5)
-	if f.Count(5) != 0 {
-		t.Fatal("ResetAccess did not clear count")
-	}
-	if f.RoundTrips(5) != 1 {
-		t.Fatal("ResetAccess clobbered round trips")
-	}
-	f.ResetAccess(99) // no-op on unknown block must not panic
 }
 
 func TestTracked(t *testing.T) {

@@ -70,36 +70,22 @@ func New(kind config.ReplacementPolicy) Policy {
 	}
 }
 
-// eligible reports whether the candidate may be considered in this pass.
-// fullOnly restricts to fully-populated units.
-func eligible(c Candidate, fullOnly bool) bool {
-	if c.Pinned {
-		return false
+// fullOnly reports whether selection is restricted to fully-populated
+// units: true while any unpinned full unit exists. Otherwise selection
+// relaxes to partial ones, since the driver must still make room when
+// no chunk is fully populated.
+func fullOnly(cands []Candidate) bool {
+	for i := range cands {
+		if !cands[i].Pinned && cands[i].Full {
+			return true
+		}
 	}
-	return !fullOnly || c.Full
+	return false
 }
 
-// forEachEligible invokes f over eligible candidates, first restricting
-// to full units and, only if none exist, relaxing to partial ones (the
-// driver must still make room when no chunk is fully populated).
-func forEachEligible(cands []Candidate, f func(i int, c Candidate)) bool {
-	any := false
-	for i, c := range cands {
-		if eligible(c, true) {
-			f(i, c)
-			any = true
-		}
-	}
-	if any {
-		return true
-	}
-	for i, c := range cands {
-		if eligible(c, false) {
-			f(i, c)
-			any = true
-		}
-	}
-	return any
+// eligible reports whether the candidate may be considered in this pass.
+func eligible(c *Candidate, fullOnly bool) bool {
+	return !c.Pinned && (c.Full || !fullOnly)
 }
 
 // lru is the driver default: evict the unit with the oldest last access.
@@ -108,12 +94,18 @@ type lru struct{}
 func (lru) Name() string { return "LRU" }
 
 func (lru) SelectVictim(cands []Candidate) (int, bool) {
+	return selectLRU(cands, fullOnly(cands))
+}
+
+// selectLRU returns the eligible candidate with the smallest lruKey.
+func selectLRU(cands []Candidate, full bool) (int, bool) {
 	best := -1
-	forEachEligible(cands, func(i int, c Candidate) {
-		if best == -1 || less(lruKey(c), lruKey(cands[best])) {
+	for i := range cands {
+		c := &cands[i]
+		if eligible(c, full) && (best == -1 || less(lruKey(c), lruKey(&cands[best]))) {
 			best = i
 		}
-	})
+	}
 	return best, best != -1
 }
 
@@ -126,24 +118,25 @@ type lfu struct{}
 func (lfu) Name() string { return "LFU" }
 
 func (lfu) SelectVictim(cands []Candidate) (int, bool) {
-	// First pass: establish score spread over eligible candidates.
+	full := fullOnly(cands)
+	// Establish the score spread over the eligible candidates.
 	var (
 		minScore, maxScore uint64
 		seen               bool
 	)
-	ok := forEachEligible(cands, func(i int, c Candidate) {
+	for i := range cands {
+		c := &cands[i]
+		if !eligible(c, full) {
+			continue
+		}
 		if !seen {
 			minScore, maxScore, seen = c.Score, c.Score, true
-			return
+			continue
 		}
-		if c.Score < minScore {
-			minScore = c.Score
-		}
-		if c.Score > maxScore {
-			maxScore = c.Score
-		}
-	})
-	if !ok {
+		minScore = min(minScore, c.Score)
+		maxScore = max(maxScore, c.Score)
+	}
+	if !seen {
 		return -1, false
 	}
 	if maxScore == 0 {
@@ -151,24 +144,25 @@ func (lfu) SelectVictim(cands []Candidate) (int, bool) {
 		// halving sweep just zeroed everything). That is the uniform
 		// case by definition — state it explicitly instead of relying
 		// on 0-0 <= 0/2 falling through the spread test below.
-		return lru{}.SelectVictim(cands)
+		return selectLRU(cands, full)
 	}
 	if maxScore-minScore <= maxScore/uniformSpreadDivisor {
 		// Uniform counters: regular access pattern, fall back to LRU.
-		return lru{}.SelectVictim(cands)
+		return selectLRU(cands, full)
 	}
 	best := -1
-	forEachEligible(cands, func(i int, c Candidate) {
-		if best == -1 || less(lfuKey(c), lfuKey(cands[best])) {
+	for i := range cands {
+		c := &cands[i]
+		if eligible(c, full) && (best == -1 || less(lfuKey(c), lfuKey(&cands[best]))) {
 			best = i
 		}
-	})
-	return best, best != -1
+	}
+	return best, true
 }
 
 // lruKey orders by last access time, tie-broken by unit number so fully
 // equal candidates resolve deterministically regardless of slice order.
-func lruKey(c Candidate) [4]uint64 { return [4]uint64{c.LastAccess, 0, 0, c.Unit} }
+func lruKey(c *Candidate) [4]uint64 { return [4]uint64{c.LastAccess, 0, 0, c.Unit} }
 
 // lfuKey orders by (score, dirtiness, last access, unit): coldest, then
 // clean (read-only pages are preferred victims because written-to hot
@@ -176,7 +170,7 @@ func lruKey(c Candidate) [4]uint64 { return [4]uint64{c.LastAccess, 0, 0, c.Unit
 // lowest unit number. The final component makes selection a total order:
 // candidates equal on (score, LastAccess) pick the same victim whether
 // the caller's list is sorted or not.
-func lfuKey(c Candidate) [4]uint64 {
+func lfuKey(c *Candidate) [4]uint64 {
 	dirty := uint64(0)
 	if c.Dirty {
 		dirty = 1

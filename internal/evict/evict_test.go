@@ -2,6 +2,8 @@ package evict
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -230,7 +232,7 @@ func TestSelectVictimEdgeCases(t *testing.T) {
 	for name, tc := range map[string]struct {
 		policy config.ReplacementPolicy
 		cands  []Candidate
-		want   int  // expected index, -1 when ok must be false
+		want   int // expected index, -1 when ok must be false
 	}{
 		"allPinnedLRU": {
 			policy: config.ReplaceLRU,
@@ -308,16 +310,7 @@ func TestSelectionOrderIndependenceProperty(t *testing.T) {
 		if pol {
 			policy = config.ReplaceLFU
 		}
-		cands := make([]Candidate, len(scores))
-		for i, sc := range scores {
-			cands[i] = Candidate{
-				Unit:       uint64(i),
-				Score:      uint64(sc),
-				LastAccess: uint64(sc % 4), // force frequent ties
-				Dirty:      sc%2 == 0,
-				Full:       true,
-			}
-		}
+		cands := genCandidates(scores, nil)
 		idx, ok := New(policy).SelectVictim(cands)
 		if !ok {
 			return false
@@ -331,5 +324,97 @@ func TestSelectionOrderIndependenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// genCandidates builds a candidate list from quick-generated bytes. Each
+// score yields one full, unpinned candidate whose LastAccess (score mod
+// 4) and Dirty (even score) collide often, so the tie-breaks decide.
+// flags[i], where present, pins candidate i when bit 0 is set and makes
+// it partial when bit 1 is set.
+func genCandidates(scores, flags []uint8) []Candidate {
+	cands := make([]Candidate, len(scores))
+	for i, sc := range scores {
+		cands[i] = Candidate{
+			Unit:       uint64(i),
+			Score:      uint64(sc),
+			LastAccess: uint64(sc % 4), // force frequent ties
+			Dirty:      sc%2 == 0,
+			Full:       true,
+		}
+		if i < len(flags) {
+			cands[i].Pinned = flags[i]&1 != 0
+			cands[i].Full = flags[i]&2 == 0
+		}
+	}
+	return cands
+}
+
+// naiveSelect is the deliberately naive reference for victim selection:
+// collect the eligible candidates (full units only, or any unpinned unit
+// when no full one is eligible), apply LFU's uniform-spread test, sort
+// by the chosen key and take the first. It reports whether LFU ranked
+// by lfuKey rather than falling back to LRU order.
+func naiveSelect(kind config.ReplacementPolicy, cands []Candidate) (idx int, ok, byScore bool) {
+	var pool []int
+	for _, fullOnly := range []bool{true, false} {
+		for i, c := range cands {
+			if !c.Pinned && (c.Full || !fullOnly) {
+				pool = append(pool, i)
+			}
+		}
+		if len(pool) > 0 {
+			break
+		}
+	}
+	if len(pool) == 0 {
+		return -1, false, false
+	}
+	key := lruKey
+	if kind == config.ReplaceLFU {
+		lo, hi := cands[pool[0]].Score, cands[pool[0]].Score
+		for _, i := range pool {
+			lo, hi = min(lo, cands[i].Score), max(hi, cands[i].Score)
+		}
+		if hi > 0 && hi-lo > hi/uniformSpreadDivisor {
+			key, byScore = lfuKey, true
+		}
+	}
+	sort.Slice(pool, func(a, b int) bool {
+		ka, kb := key(&cands[pool[a]]), key(&cands[pool[b]])
+		return slices.Compare(ka[:], kb[:]) < 0
+	})
+	return pool[0], true, byScore
+}
+
+// Property: both policies pick exactly the naive reference's victim
+// over full, partial and pinned candidates, and LFU's score ranking and
+// its LRU fallback are both exercised.
+func TestSelectionMatchesNaiveReferenceProperty(t *testing.T) {
+	var byScore, fallback int
+	f := func(scores, flags []uint8) bool {
+		cands := genCandidates(scores, flags)
+		for _, kind := range []config.ReplacementPolicy{config.ReplaceLRU, config.ReplaceLFU} {
+			idx, ok := New(kind).SelectVictim(cands)
+			want, wantOK, ranked := naiveSelect(kind, cands)
+			if ok != wantOK || idx != want {
+				t.Errorf("%v: SelectVictim = (%d, %v), reference (%d, %v) over %+v", kind, idx, ok, want, wantOK, cands)
+				return false
+			}
+			if kind == config.ReplaceLFU && ok {
+				if ranked {
+					byScore++
+				} else {
+					fallback++
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+	if byScore == 0 || fallback == 0 {
+		t.Fatalf("LFU ranked by score %d times and fell back to LRU %d times; want both", byScore, fallback)
 	}
 }

@@ -20,6 +20,9 @@ import (
 //  4. Pending bookkeeping: scheduled implies pending; a resident block
 //     is never pending; waiters only exist on pending blocks.
 //  5. Queued/in-flight counters are non-negative and zero when idle.
+//  6. Every dirty block is resident; chunk dirtyBlocks equals the number
+//     of dirty blocks, and the counter file's chunk score equals the sum
+//     of the chunk's block counts.
 func (d *Driver) CheckConsistency() error { return d.checkConsistency(false) }
 
 // CheckConsistencyMidRun verifies the same invariants between arbitrary
@@ -39,7 +42,8 @@ func (d *Driver) checkConsistency(midRun bool) error {
 		first := cs.info.FirstBlock()
 		n := cs.info.Blocks()
 		tree := cs.pf.Tree()
-		var resident int
+		var resident, dirty int
+		var score uint64
 		for b := first; b < first+n; b++ {
 			bs := d.blockAt(b)
 			var isResident, isPending, isScheduled bool
@@ -61,7 +65,14 @@ func (d *Driver) checkConsistency(midRun bool) error {
 				resident++
 				residentPages += memunits.PagesPerBlock
 			}
+			score += d.ctrs.Count(uint64(b))
 			if bs != nil {
+				if bs.dirty {
+					if !isResident {
+						return fmt.Errorf("uvm: block %d dirty but not resident", b)
+					}
+					dirty++
+				}
 				if bs.scheduled && !bs.pending {
 					return fmt.Errorf("uvm: block %d scheduled but not pending", b)
 				}
@@ -75,6 +86,12 @@ func (d *Driver) checkConsistency(midRun bool) error {
 		}
 		if resident != cs.residentBlocks {
 			return fmt.Errorf("uvm: chunk %d residentBlocks=%d but counted %d", num, cs.residentBlocks, resident)
+		}
+		if dirty != cs.dirtyBlocks {
+			return fmt.Errorf("uvm: chunk %d dirtyBlocks=%d but counted %d", num, cs.dirtyBlocks, dirty)
+		}
+		if s := d.ctrs.ChunkScore(uint64(num)); s != score {
+			return fmt.Errorf("uvm: chunk %d score %d but its blocks sum to %d", num, s, score)
 		}
 		if cs.queuedBlocks < 0 || cs.inFlightBlocks < 0 {
 			return fmt.Errorf("uvm: chunk %d negative pending counters (%d queued, %d in flight)",

@@ -101,6 +101,12 @@ func TestConsistencyDetectsCorruption(t *testing.T) {
 		t.Fatal("checker accepted corrupted residentBlocks")
 	}
 	cs.residentBlocks--
+	// Corrupt the dirty count instead.
+	cs.dirtyBlocks++
+	if err := r.d.CheckConsistency(); err == nil {
+		t.Fatal("checker accepted corrupted dirtyBlocks")
+	}
+	cs.dirtyBlocks--
 	if err := r.d.CheckConsistency(); err != nil {
 		t.Fatalf("restored state still inconsistent: %v", err)
 	}

@@ -114,8 +114,11 @@ func (bs *blockState) resident() bool { return bs.home != tier.HostIndex }
 type chunkState struct {
 	info alloc.ChunkInfo
 	pf   *prefetch.Chunk
-	// residentBlocks counts blocks currently resident.
+	// residentBlocks counts blocks currently resident; dirtyBlocks
+	// counts those written since they landed, so LFU's clean-first
+	// ranking reads one field instead of walking the blocks.
 	residentBlocks int
+	dirtyBlocks    int
 	// queuedBlocks counts blocks in enqueued-but-undispatched
 	// migrations; inFlightBlocks counts blocks on the wire. Both pin the
 	// chunk against standard eviction.
@@ -462,11 +465,11 @@ func (d *Driver) TryFastAccess(addr memunits.Addr, write bool) (sim.Cycle, bool)
 	d.ctrs.Access(uint64(b))
 	now := d.eng.Now()
 	bs.lastAccess = now
-	if write {
+	cs := d.chunkAt(memunits.ChunkOf(addr))
+	cs.lastAccess = now
+	if write && !bs.dirty {
 		bs.dirty = true
-	}
-	if cs := d.chunkAt(memunits.ChunkOf(addr)); cs != nil {
-		cs.lastAccess = now
+		cs.dirtyBlocks++
 	}
 	d.st.NearAccesses++
 	if d.obs != nil {
@@ -512,11 +515,11 @@ func (d *Driver) TryFastAccessRun(addrs []memunits.Addr, write bool) (sim.Cycle,
 	d.ctrs.AccessRun(uint64(b), uint64(len(addrs)))
 	now := d.eng.Now()
 	bs.lastAccess = now
-	if write {
+	cs := d.chunkAt(memunits.ChunkOf(addrs[0]))
+	cs.lastAccess = now
+	if write && !bs.dirty {
 		bs.dirty = true
-	}
-	if cs := d.chunkAt(memunits.ChunkOf(addrs[0])); cs != nil {
-		cs.lastAccess = now
+		cs.dirtyBlocks++
 	}
 	d.st.NearAccesses += uint64(len(addrs))
 	if d.obs != nil {
@@ -817,8 +820,11 @@ func (d *Driver) landMigration(m migration) {
 		bs.home = d.devTier
 		bs.pending = false
 		bs.scheduled = false
-		bs.dirty = bs.pendingDirty
-		bs.pendingDirty = false
+		if bs.pendingDirty {
+			bs.dirty = true
+			bs.pendingDirty = false
+			m.cs.dirtyBlocks++
+		}
 		bs.lastAccess = now
 		waiters := bs.waiters
 		bs.waiters = nil

@@ -67,13 +67,11 @@ func (h *evictionHost) ChunkCandidates(strict bool) []evict.Candidate {
 				now-cs.lastAccess < d.cfg.EvictionRecencyGuard
 			pinned = cs.pinnedStandard() || recent
 		}
-		first := cs.info.FirstBlock()
-		n := cs.info.Blocks()
 		cands = append(cands, evict.Candidate{
 			Unit:       uint64(num),
 			LastAccess: cs.lastAccess,
-			Score:      d.ctrs.SumCounts(uint64(first), n),
-			Dirty:      d.chunkDirty(cs),
+			Score:      d.ctrs.ChunkScore(uint64(num)),
+			Dirty:      cs.dirtyBlocks > 0,
 			Full:       cs.pf.Tree().Full(),
 			Pinned:     pinned,
 		})
@@ -144,6 +142,7 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 	if bs.dirty {
 		dirty = 1
 		bs.dirty = false
+		cs.dirtyBlocks--
 	}
 	cs.residentBlocks--
 	cs.pf.Tree().MarkEmpty(int(b - cs.info.FirstBlock()))
@@ -155,17 +154,6 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 		})
 	}
 	d.finishEviction(1, dirty)
-}
-
-// chunkDirty reports whether any resident block of the chunk is dirty.
-func (d *Driver) chunkDirty(cs *chunkState) bool {
-	first := cs.info.FirstBlock()
-	for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
-		if bs := d.blockAt(b); bs != nil && bs.resident() && bs.dirty {
-			return true
-		}
-	}
-	return false
 }
 
 // evictChunk evicts every resident block of the chunk, writing dirty
@@ -192,6 +180,7 @@ func (d *Driver) evictChunk(cs *chunkState) {
 		panic("uvm: evicting chunk with no resident blocks")
 	}
 	cs.residentBlocks = 0
+	cs.dirtyBlocks = 0
 	// Rebuild tree occupancy: only pending (queued/in-flight) blocks
 	// remain claimed.
 	tree := cs.pf.Tree()
