@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint lint-fix-check tools staticcheck govulncheck race bench ledger colo-smoke figures check ci smoke cover tournament tournament-smoke serve-smoke
+.PHONY: build test short vet lint lint-fix-check tools staticcheck govulncheck race bench ledger figures check ci smoke cover tournament tournament-smoke serve-smoke
 
 # Pinned tool versions for CI (and for local installs that want to match
 # CI exactly). Bump deliberately; staticcheck versions are coupled to Go
@@ -110,22 +110,9 @@ tournament-smoke:
 serve-smoke:
 	$(GO) run ./cmd/simd -smoke
 
-# End-to-end smoke of the multi-tenant co-location mode (DESIGN.md §15):
-# three tenants over two GPUs and a pooled CXL tier, run sequentially
-# and with the per-GPU engines drained on two workers — the outputs
-# (including the result checksum) must be byte-identical.
-colo-smoke:
-	$(GO) run ./cmd/uvmsim -tenants bfs:0:1,ra:0:0,backprop:1:1 -gpus 2 \
-		-cxl-pool-mb 32 -colo-epochs 3 -seed 7 -workers 1 >/tmp/uvmsim-colo-seq.txt
-	$(GO) run ./cmd/uvmsim -tenants bfs:0:1,ra:0:0,backprop:1:1 -gpus 2 \
-		-cxl-pool-mb 32 -colo-epochs 3 -seed 7 -workers 2 >/tmp/uvmsim-colo-par.txt
-	cmp /tmp/uvmsim-colo-seq.txt /tmp/uvmsim-colo-par.txt
-	grep -q 'checksum=' /tmp/uvmsim-colo-seq.txt
-
-# Per-package coverage floor (70%) for the pipeline and multi-tier
-# surfaces (the mm pipeline, the tier topology, the per-GPU counter
-# file, the CXL controller) and the simlint framework plus its
-# interprocedural analyzers.
+# Per-package coverage floor (70%) for the mm pipeline, the access
+# counters and the simlint framework plus its interprocedural
+# analyzers.
 cover:
 	./scripts/cover.sh
 
@@ -143,6 +130,6 @@ smoke:
 # What CI runs (.github/workflows/ci.yml): vet + simlint + the fix
 # convergence gate + staticcheck + govulncheck, build, race-detected
 # tests, the coverage floor, the observability smoke, the tournament
-# smoke, the sweep-service smoke, the co-location smoke, then the
-# cycle ledger (whose scale-1.0 row the race run skips).
-ci: vet lint lint-fix-check staticcheck govulncheck build race cover smoke tournament-smoke serve-smoke colo-smoke ledger
+# smoke, the sweep-service smoke, then the cycle ledger (whose
+# scale-1.0 row the race run skips).
+ci: vet lint lint-fix-check staticcheck govulncheck build race cover smoke tournament-smoke serve-smoke ledger

@@ -14,7 +14,6 @@
 //	simd -server http://127.0.0.1:8642 -fig fig6          # submit a figure sweep
 //	simd -fig fig6 -print-job                             # print the job JSON, don't submit
 //	simd -server ... -fig tournament -out result.json     # save the result payload
-//	simd -server ... -fig colo                            # CXL co-location pool-policy sweep
 //
 // Smoke:
 //
@@ -69,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.server, "server", "", "client mode: server base URL")
 	fs.StringVar(&o.submit, "submit", "", "client mode: job request JSON file to submit ('-' = stdin)")
 	fs.StringVar(&o.fig, "fig", "", "client mode: submit a figure sweep ("+
-		fmt.Sprint(experiments.FigureNames())+", 'tournament' or 'colo')")
+		fmt.Sprint(experiments.FigureNames())+" or 'tournament')")
 	fs.Float64Var(&o.scale, "scale", 1.0, "with -fig, workload scale factor (1.0 = paper size)")
 	fs.StringVar(&o.wl, "workloads", "", "with -fig, comma-separated workload subset (default: the figure's own)")
 	fs.BoolVar(&o.printJob, "print-job", false, "with -fig or -submit, print the job request JSON and exit without submitting")
@@ -150,11 +149,6 @@ func buildJob(o options) (serve.JobRequest, error) {
 		if o.fig == "tournament" {
 			return experiments.TournamentJob(experiments.TournamentOptions{Options: eo}), nil
 		}
-		if o.fig == "colo" {
-			// The canonical co-location mix under every pool policy;
-			// -scale/-workloads do not apply to co-location cells.
-			return experiments.ColoJob(experiments.ColoJobOptions{}), nil
-		}
 		return experiments.FigureJob(o.fig, eo)
 	default:
 		return serve.JobRequest{}, fmt.Errorf("client mode needs -submit or -fig")
@@ -186,7 +180,7 @@ func runClient(o options, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "simd: job %s done: %d cells, %d from cache\n",
-		st.ID, len(doc.Cells)+len(doc.Colo), st.CacheHits)
+		st.ID, len(doc.Cells), st.CacheHits)
 	if o.out == "" {
 		return nil
 	}

@@ -46,23 +46,6 @@ func TestPrintFigureJob(t *testing.T) {
 	}
 }
 
-func TestPrintColoJob(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-fig", "colo", "-print-job")
-	if code != 0 {
-		t.Fatalf("exited %d: %s", code, stderr)
-	}
-	var req serve.JobRequest
-	if err := json.Unmarshal([]byte(stdout), &req); err != nil {
-		t.Fatalf("print-job output is not a job request: %v\n%s", err, stdout)
-	}
-	if req.Name != "colo" || len(req.Colo) != 3 {
-		t.Fatalf("unexpected colo job: %+v", req)
-	}
-	if req.Colo[0].Tenants != "bfs:0:1,sssp:0:0,backprop:1:1" || req.Colo[0].PoolMB != 64 {
-		t.Fatalf("colo job lost the canonical mix: %+v", req.Colo[0])
-	}
-}
-
 func TestSubmitFilePrintJob(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "job.json")
 	if err := os.WriteFile(path, []byte(`{"workloads":["bfs"],"scale":0.05}`), 0o644); err != nil {
@@ -86,6 +69,7 @@ func TestUsageErrors(t *testing.T) {
 		{},                             // no mode
 		{"-addr", "x", "-smoke"},       // two modes
 		{"-fig", "fig2", "-print-job"}, // unmapped figure
+		{"-fig", "colo", "-print-job"}, // removed co-location sweep
 		{"-fig", "x", "-submit", "y", "-print-job"}, // mutually exclusive
 		{"-smoke", "extra"},                         // stray operand
 	}

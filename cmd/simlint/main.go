@@ -40,7 +40,7 @@ import (
 )
 
 // analyzers is the full suite in output order. New analyzers register
-// here and in DESIGN.md §11/§16.
+// here and in DESIGN.md §11/§15.
 func analyzers() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		eventseq.Analyzer,

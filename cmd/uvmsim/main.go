@@ -60,19 +60,10 @@ type options struct {
 	planner     string
 	evictor     string
 
-	seed uint64
-
-	tenants      string
-	cxlPoolMB    uint64
-	cxlBW        float64
-	cxlLatency   uint64
-	cxlThreshold uint64
-	poolPolicy   string
-	coloEpochs   int
-	graphFile    string
-	spans        bool
-	csv          bool
-	jsonOut      string
+	graphFile string
+	spans     bool
+	csv       bool
+	jsonOut   string
 
 	metricsJSON     string
 	traceOut        string
@@ -92,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.scale, "scale", 1.0, "workload scale factor (1.0 = paper size)")
 	fs.Uint64Var(&o.oversub, "oversub", 125, "working set as % of device memory (100 = fits)")
 	fs.IntVar(&o.gpus, "gpus", 1, "cluster size: run the workload bulk-synchronously across this many GPUs (multi-GPU §VIII extension)")
-	fs.IntVar(&o.workers, "workers", 0, "worker threads draining the per-GPU engines with -gpus > 1 or -tenants (0 or 1 = sequential; results are identical either way)")
+	fs.IntVar(&o.workers, "workers", 0, "worker threads draining the per-GPU engines with -gpus > 1 (0 or 1 = sequential; results are identical either way)")
 	fs.StringVar(&o.arch, "arch", "pascal", "architecture preset: pascal, volta")
 	fs.StringVar(&o.policy, "policy", "adaptive", "migration policy: disabled, always, oversub, adaptive")
 	fs.Uint64Var(&o.ts, "ts", 8, "static access counter threshold")
@@ -102,14 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.granularity, "granularity", "2m", "eviction granularity: 2m, 64k")
 	fs.StringVar(&o.planner, "planner", "", "migration planner: "+strings.Join(mm.PlannerNames(), ", ")+" (default: threshold)")
 	fs.StringVar(&o.evictor, "evictor", "", "eviction engine: "+strings.Join(mm.EvictorNames(), ", ")+" (default: configured replacement)")
-	fs.Uint64Var(&o.seed, "seed", 1, "with -tenants, seed of the co-location scenario's tenant access streams (runs with equal seeds are byte-identical)")
-	fs.StringVar(&o.tenants, "tenants", "", "run the multi-tenant co-location mode: comma-separated workload:gpu[:priority] tenants sharing -gpus GPUs over a pooled CXL tier (see DESIGN.md §15)")
-	fs.Uint64Var(&o.cxlPoolMB, "cxl-pool-mb", 0, "pooled CXL tier capacity in MiB (required with -tenants)")
-	fs.Float64Var(&o.cxlBW, "cxl-bw", 0, "CXL port bandwidth in bytes/cycle (0 = built-in default)")
-	fs.Uint64Var(&o.cxlLatency, "cxl-latency", 0, "CXL port latency in cycles (0 = built-in default)")
-	fs.Uint64Var(&o.cxlThreshold, "cxl-threshold", 0, "read-counter threshold for replica grants (0 = built-in default)")
-	fs.StringVar(&o.poolPolicy, "pool-policy", "", "pooled-tier policy: "+strings.Join(mm.PoolPolicyNames(), ", ")+" (default: cxl-repl)")
-	fs.IntVar(&o.coloEpochs, "colo-epochs", 0, "co-location barrier epochs (0 = built-in default)")
 	fs.StringVar(&o.graphFile, "graph", "", "edge-list file for bfs/sssp (src dst [weight] per line; overrides the synthetic input)")
 	fs.BoolVar(&o.spans, "spans", false, "print per-kernel timing spans")
 	fs.BoolVar(&o.csv, "csv", false, "print metrics as CSV")
@@ -156,24 +139,6 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	}
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be non-negative, got %d", o.workers)
-	}
-	if o.tenants != "" {
-		return simulateColocation(o, stdout, stderr)
-	}
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"-cxl-pool-mb", o.cxlPoolMB != 0},
-		{"-cxl-bw", o.cxlBW != 0},
-		{"-cxl-latency", o.cxlLatency != 0},
-		{"-cxl-threshold", o.cxlThreshold != 0},
-		{"-pool-policy", o.poolPolicy != ""},
-		{"-colo-epochs", o.coloEpochs != 0},
-	} {
-		if f.set {
-			return fmt.Errorf("%s applies to the co-location mode only (set -tenants)", f.name)
-		}
 	}
 	if o.gpus > 1 && (o.spans || o.jsonOut != "") {
 		return fmt.Errorf("-spans and -json apply to single-GPU runs only (got -gpus %d)", o.gpus)

@@ -210,65 +210,6 @@ type Config struct {
 	// 0 or 1 selects the sequential single-engine path; values above
 	// the cluster size are clamped to it. Single-GPU runs ignore it.
 	ClusterWorkers int
-
-	// CXL pooled tier (internal/cxl). Zero CXLPoolBytes disables the
-	// pool entirely, keeping the classic two-tier topology — the
-	// byte-identical default. The remaining fields then have no effect.
-	CXLPoolBytes uint64 // pooled tier capacity; must be page aligned
-	// CXLBytesPerCycle and CXLLatency describe each GPU's CXL port
-	// (per-direction bandwidth in bytes per core cycle, one-way
-	// initiation latency in core cycles). Zero selects the defaults
-	// (half PCIe bandwidth headroom is NOT assumed: CXL.mem on x8 gen5
-	// is comparable to PCIe but with far lower small-access overhead).
-	CXLBytesPerCycle float64
-	CXLLatency       uint64
-	// CXLReadThreshold is the per-GPU read-counter threshold above
-	// which the pool controller grants a read-only replica (and the
-	// margin a sole writer must clear to win a writable migration).
-	// Zero selects the default.
-	CXLReadThreshold uint64
-	// PoolPolicy selects the pool-management stage by internal/mm
-	// registry name ("cxl-repl" counter-arbitrated replication,
-	// "cxl-migrate" naive migrate-on-touch, "pool-remote" never
-	// migrate). Empty selects the default (cxl-repl).
-	PoolPolicy string
-}
-
-// CXLEnabled reports whether the configuration carries a pooled tier.
-func (c Config) CXLEnabled() bool { return c.CXLPoolBytes > 0 }
-
-// CXL port defaults applied when the pool is enabled and a field is
-// zero: bandwidth comparable to the PCIe link but with a lower
-// initiation latency (load/store-native CXL.mem), and the paper's
-// static threshold spirit for the replication agreement.
-const (
-	DefaultCXLBytesPerCycle = 10.6
-	DefaultCXLLatency       = 60
-	DefaultCXLReadThreshold = 4
-)
-
-// CXLPortBytesPerCycle returns the effective CXL port bandwidth.
-func (c Config) CXLPortBytesPerCycle() float64 {
-	if c.CXLBytesPerCycle > 0 {
-		return c.CXLBytesPerCycle
-	}
-	return DefaultCXLBytesPerCycle
-}
-
-// CXLPortLatency returns the effective CXL port latency in core cycles.
-func (c Config) CXLPortLatency() uint64 {
-	if c.CXLLatency > 0 {
-		return c.CXLLatency
-	}
-	return DefaultCXLLatency
-}
-
-// CXLThreshold returns the effective replication threshold.
-func (c Config) CXLThreshold() uint64 {
-	if c.CXLReadThreshold > 0 {
-		return c.CXLReadThreshold
-	}
-	return DefaultCXLReadThreshold
 }
 
 // Default returns the boldface configuration of Table I: a Pascal-like
@@ -394,12 +335,6 @@ func (c Config) Validate() error {
 		return errors.New("config: Penalty must be at least 1")
 	case c.ClusterWorkers < 0:
 		return errors.New("config: ClusterWorkers must be non-negative")
-	case c.CXLPoolBytes%memunits.PageSize != 0:
-		return errors.New("config: CXLPoolBytes must be page aligned")
-	case c.CXLBytesPerCycle < 0:
-		return errors.New("config: CXLBytesPerCycle must be non-negative")
-	case !c.CXLEnabled() && c.PoolPolicy != "":
-		return fmt.Errorf("config: PoolPolicy %q set without a CXL pool (CXLPoolBytes=0)", c.PoolPolicy)
 	}
 	if c.EvictionGranularity != memunits.ChunkSize && c.EvictionGranularity != memunits.BlockSize {
 		return fmt.Errorf("config: EvictionGranularity %d must be 2MB or 64KB", c.EvictionGranularity)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"uvmsim/internal/mm"
 	"uvmsim/internal/serve"
 	"uvmsim/internal/workloads"
 )
@@ -110,69 +109,6 @@ func TournamentJob(o TournamentOptions) serve.JobRequest {
 		spec := base.MMPipeline
 		spec.Planner = pl
 		req.Pipelines = append(req.Pipelines, spec)
-	}
-	return req
-}
-
-// ColoJobOptions parameterizes a co-location sweep job. The zero value
-// selects the canonical co-location mix: bfs and sssp co-scheduled
-// on GPU 0, backprop alone on GPU 1, a 64MB pooled tier, seed 3, every
-// registered pool policy.
-type ColoJobOptions struct {
-	// Tenants is the co-scheduled mix in "workload:gpu:priority" syntax.
-	Tenants string
-	// GPUs is the number of GPUs sharing the pool.
-	GPUs int
-	// PoolMB sizes the pooled CXL tier in MiB.
-	PoolMB uint64
-	// Epochs sizes the run (0 = scenario default).
-	Epochs int
-	// Seed drives the tenant streams.
-	Seed uint64
-	// Policies are the pool-policy names to sweep (empty = every
-	// registered policy).
-	Policies []string
-}
-
-func (o ColoJobOptions) withDefaults() ColoJobOptions {
-	if o.Tenants == "" {
-		o.Tenants = "bfs:0:1,sssp:0:0,backprop:1:1"
-		if o.GPUs == 0 {
-			o.GPUs = 2
-		}
-		if o.Seed == 0 {
-			o.Seed = 3
-		}
-	}
-	if o.GPUs == 0 {
-		o.GPUs = 1
-	}
-	if o.PoolMB == 0 {
-		o.PoolMB = 64
-	}
-	if len(o.Policies) == 0 {
-		o.Policies = mm.PoolPolicyNames()
-	}
-	return o
-}
-
-// ColoJob expresses a CXL co-location pool-policy sweep as a simd job
-// submission: the tenant mix run once per pool policy, exactly the
-// scenarios TestCycleLedger pins for the default mix. The runs are
-// deterministic and content-addressed like every other cell, so
-// resubmitting the sweep is a pure cache hit.
-func ColoJob(o ColoJobOptions) serve.JobRequest {
-	o = o.withDefaults()
-	req := serve.JobRequest{Name: "colo"}
-	for _, policy := range o.Policies {
-		req.Colo = append(req.Colo, serve.ColoSpec{
-			Tenants:    o.Tenants,
-			GPUs:       o.GPUs,
-			PoolMB:     o.PoolMB,
-			PoolPolicy: policy,
-			Epochs:     o.Epochs,
-			Seed:       o.Seed,
-		})
 	}
 	return req
 }

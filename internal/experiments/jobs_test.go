@@ -7,9 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"uvmsim/internal/config"
-	"uvmsim/internal/cxl"
-	"uvmsim/internal/mm"
 	"uvmsim/internal/serve"
 )
 
@@ -112,64 +109,6 @@ func TestTournamentJobMatchesInProcessTournament(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("job cycles %d != tournament cycles %d", got, want)
-	}
-}
-
-// The colo job must run the tenant mix under every registered pool
-// policy, and each entry's result must match a direct in-process
-// scenario run — the job submission and a direct scenario run share
-// one execution path.
-func TestColoJobMatchesDirectScenarios(t *testing.T) {
-	o := ColoJobOptions{Tenants: "bfs:0:1,ra:0:0", GPUs: 1, PoolMB: 32, Epochs: 3, Seed: 7}
-	req := ColoJob(o)
-	if len(req.Colo) != len(mm.PoolPolicyNames()) {
-		t.Fatalf("job has %d colo cells, want one per policy (%d)", len(req.Colo), len(mm.PoolPolicyNames()))
-	}
-	doc, st := runJob(t, req)
-	if st.State != serve.StateDone || len(doc.Colo) != len(req.Colo) {
-		t.Fatalf("status %+v with %d colo entries", st, len(doc.Colo))
-	}
-	for i, policy := range mm.PoolPolicyNames() {
-		entry := doc.Colo[i]
-		if entry.Scenario.Policy != policy {
-			t.Fatalf("entry %d policy = %q, want %q", i, entry.Scenario.Policy, policy)
-		}
-		cfg := config.Default()
-		cfg.CXLPoolBytes = o.PoolMB << 20
-		cfg.PoolPolicy = policy
-		tenants, err := cxl.ParseTenants(o.Tenants, o.GPUs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := cxl.NewScenario(cxl.ScenarioConfig{
-			Cfg: cfg, GPUs: o.GPUs, Tenants: tenants,
-			Epochs: o.Epochs, Seed: o.Seed, Workers: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sc.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := entry.Scenario.Result
-		if got.Checksum != want.Checksum || got.SimCycles != want.SimCycles {
-			t.Fatalf("policy %q: job result %d/%d diverged from direct run %d/%d",
-				policy, got.SimCycles, got.Checksum, want.SimCycles, want.Checksum)
-		}
-	}
-}
-
-// The zero-value options select the canonical co-location mix, the one
-// TestCycleLedger pins.
-func TestColoJobDefaults(t *testing.T) {
-	req := ColoJob(ColoJobOptions{})
-	if len(req.Colo) != len(mm.PoolPolicyNames()) {
-		t.Fatalf("default job has %d cells, want %d", len(req.Colo), len(mm.PoolPolicyNames()))
-	}
-	c := req.Colo[0]
-	if c.Tenants != "bfs:0:1,sssp:0:0,backprop:1:1" || c.GPUs != 2 || c.PoolMB != 64 || c.Seed != 3 {
-		t.Fatalf("default cell = %+v, want the canonical mix", c)
 	}
 }
 

@@ -45,7 +45,7 @@ func (m *statsModel) note(now sim.Cycle, payload, wire uint64) sim.Cycle {
 	return m.freeAt + m.latency
 }
 
-// TestChannelStatsSumToOccupancyProperty drives both link types with
+// TestChannelStatsSumToOccupancyProperty drives the PCIe link with
 // randomized transfer sequences (sizes, directions, bulk vs remote,
 // idle gaps) and checks that per-direction ChannelStats exactly match
 // an independently maintained reference model: transfer and byte
@@ -54,69 +54,41 @@ func (m *statsModel) note(now sim.Cycle, payload, wire uint64) sim.Cycle {
 // completion cycles). This is the conservation law the utilization
 // metrics lean on.
 func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
+	// The link's cost model: bulk transfers put the payload on the wire
+	// verbatim; a remote access pays the header and the wire penalty.
+	bulkWire := func(p uint64) uint64 { return p }
+	remoteWire := func(p uint64) uint64 { return uint64(float64(p+24) * 3) }
 	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
 		rng := rand.New(rand.NewPCG(seed, 0))
 
 		eng := sim.NewEngine()
-		pcie := New(eng, 10, 100, 24, 3)
-		cxl := NewCXL(eng, 8, 50, 0)
-
-		type linkCase struct {
-			name string
-			conn Conn
-			// model re-derives the wire bytes for a payload under the
-			// link's cost model for bulk and remote transfers.
-			bulkWire   func(payload uint64) uint64
-			remoteWire func(payload uint64) uint64
-			models     [2]*statsModel
-		}
-		cxlWire := func(payload uint64) uint64 {
-			flits := (payload + DefaultFlitBytes - 1) / DefaultFlitBytes
-			return (flits + 1) * DefaultFlitBytes
-		}
-		cases := []*linkCase{
-			{
-				name: "pcie", conn: pcie,
-				bulkWire:   func(p uint64) uint64 { return p },
-				remoteWire: func(p uint64) uint64 { return uint64(float64(p+24) * 3) },
-				models: [2]*statsModel{
-					{bytesPerCycle: 10, latency: 100},
-					{bytesPerCycle: 10, latency: 100},
-				},
-			},
-			{
-				name: "cxl", conn: cxl,
-				bulkWire:   cxlWire,
-				remoteWire: cxlWire,
-				models: [2]*statsModel{
-					{bytesPerCycle: 8, latency: 50},
-					{bytesPerCycle: 8, latency: 50},
-				},
-			},
+		link := New(eng, 10, 100, 24, 3)
+		models := [2]*statsModel{
+			{bytesPerCycle: 10, latency: 100},
+			{bytesPerCycle: 10, latency: 100},
 		}
 
 		pending := 0
 		for i := 0; i < 400; i++ {
-			lc := cases[rng.IntN(2)]
 			dir := Direction(rng.IntN(2))
-			m := lc.models[dir]
+			m := models[dir]
 			var got, want sim.Cycle
 			if rng.IntN(3) == 0 {
 				payload := uint64(1 + rng.IntN(128)) // sector-sized
-				want = m.note(eng.Now(), payload, lc.remoteWire(payload))
+				want = m.note(eng.Now(), payload, remoteWire(payload))
 				pending++
-				got = lc.conn.RemoteAccess(dir, payload, func() { pending-- })
+				got = link.RemoteAccess(dir, payload, func() { pending-- })
 			} else {
 				payload := uint64(1 + rng.IntN(1<<16)) // up to 64KB bulk
-				want = m.note(eng.Now(), payload, lc.bulkWire(payload))
+				want = m.note(eng.Now(), payload, bulkWire(payload))
 				pending++
-				got = lc.conn.Transfer(dir, payload, func() { pending-- })
+				got = link.Transfer(dir, payload, func() { pending-- })
 			}
 			if got != want {
-				t.Fatalf("seed %d %s: completion = %d, want %d", seed, lc.name, got, want)
+				t.Fatalf("seed %d: completion = %d, want %d", seed, got, want)
 			}
-			if fa := lc.conn.FreeAt(dir); fa != m.freeAt {
-				t.Fatalf("seed %d %s: FreeAt = %d, model says %d", seed, lc.name, fa, m.freeAt)
+			if fa := link.FreeAt(dir); fa != m.freeAt {
+				t.Fatalf("seed %d: FreeAt = %d, model says %d", seed, fa, m.freeAt)
 			}
 			// Occasionally let simulated time advance so transfers start
 			// against a moving engine clock, not always a contended wire.
@@ -130,21 +102,19 @@ func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 			t.Fatalf("seed %d: %d completion callbacks never fired", seed, pending)
 		}
 
-		for _, lc := range cases {
-			for _, dir := range []Direction{HostToDevice, DeviceToHost} {
-				got, want := lc.conn.Stats(dir), lc.models[dir].want
-				if got != want {
-					t.Fatalf("seed %d %s %s: stats = %+v, model = %+v", seed, lc.name, dir, got, want)
-				}
-				// Busy cycles can never exceed the span the wire has been
-				// in use for, and utilization must agree with the ratio.
-				if got.BusyCycles > uint64(lc.conn.FreeAt(dir)) {
-					t.Fatalf("seed %d %s %s: busy %d exceeds freeAt %d", seed, lc.name, dir, got.BusyCycles, lc.conn.FreeAt(dir))
-				}
-				wantUtil := float64(got.BusyCycles) / float64(eng.Now())
-				if u := lc.conn.Utilization(dir); u != wantUtil {
-					t.Fatalf("seed %d %s %s: utilization = %v, want %v", seed, lc.name, dir, u, wantUtil)
-				}
+		for _, dir := range []Direction{HostToDevice, DeviceToHost} {
+			got, want := link.Stats(dir), models[dir].want
+			if got != want {
+				t.Fatalf("seed %d %s: stats = %+v, model = %+v", seed, dir, got, want)
+			}
+			// Busy cycles can never exceed the span the wire has been
+			// in use for, and utilization must agree with the ratio.
+			if got.BusyCycles > uint64(link.FreeAt(dir)) {
+				t.Fatalf("seed %d %s: busy %d exceeds freeAt %d", seed, dir, got.BusyCycles, link.FreeAt(dir))
+			}
+			wantUtil := float64(got.BusyCycles) / float64(eng.Now())
+			if u := link.Utilization(dir); u != wantUtil {
+				t.Fatalf("seed %d %s: utilization = %v, want %v", seed, dir, u, wantUtil)
 			}
 		}
 	}

@@ -5,8 +5,8 @@
 // simulated fault handling it models.
 package hotallocfix
 
-// tierIndex mirrors tier.Index: 0 = host, so the zero value of home
-// means "not resident on any device tier".
+// tierIndex is a dense tier number: 0 = host, so the zero value of
+// home means "not resident on any device tier".
 type tierIndex uint8
 
 type tieredBlock struct {
@@ -64,7 +64,7 @@ func (s *tierState) badTierLabel(b uint64) string {
 }
 
 // grow doubles the residency arrays; the allocation is amortized and
-// explicitly waived, matching the counters.PerGPU grow path.
+// explicitly waived, matching the counters.File grow path.
 //
 //sim:hotpath
 func (s *tierState) grow(n int) {

@@ -9,7 +9,7 @@
 //     and byte-compared),
 //   - an argument to a serve cache-key constructor (content addresses
 //     must be pure functions of the configuration),
-//   - an argument to a sim/core/config/cxl entry point (simulated
+//   - an argument to a sim/core/config entry point (simulated
 //     state must replay identically from a seed).
 //
 // wallclock bans the sources inside internal/ outright; seedflow
@@ -85,7 +85,7 @@ func sinkOf(fn *types.Func) (string, bool) {
 		if strings.HasSuffix(fn.Name(), "Key") {
 			return "a content-addressed cache key", true
 		}
-	case "sim", "core", "config", "cxl":
+	case "sim", "core", "config":
 		return "simulated state", true
 	}
 	return "", false

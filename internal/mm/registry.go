@@ -65,7 +65,6 @@ func canon(name string) string { return strings.ToLower(strings.TrimSpace(name))
 var (
 	planners = &registry[MigrationPlanner]{kind: "migration planner", def: newThresholdPlanner}
 	evictors = &registry[EvictionEngine]{kind: "eviction engine", def: newConfiguredEvictor}
-	pools    = &registry[PoolPolicy]{kind: "pool policy", def: newCXLReplPolicy}
 )
 
 // RegisterPlanner adds a MigrationPlanner factory under name. Panics on
@@ -90,14 +89,3 @@ func PlannerNames() []string { return planners.names() }
 
 // EvictorNames lists the registered EvictionEngine names, sorted.
 func EvictorNames() []string { return evictors.names() }
-
-// RegisterPoolPolicy adds a PoolPolicy factory under name.
-func RegisterPoolPolicy(name string, f Factory[PoolPolicy]) { pools.register(name, f) }
-
-// NewPoolPolicy builds the named PoolPolicy ("" = default cxl-repl).
-func NewPoolPolicy(name string, cfg config.Config) (PoolPolicy, error) {
-	return pools.build(name, cfg)
-}
-
-// PoolPolicyNames lists the registered PoolPolicy names, sorted.
-func PoolPolicyNames() []string { return pools.names() }

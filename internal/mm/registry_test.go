@@ -47,9 +47,8 @@ func TestRegistryOutputIsStable(t *testing.T) {
 // CLI error messages and reports.
 func TestPackageRegistriesSorted(t *testing.T) {
 	for name, names := range map[string]func() []string{
-		"PlannerNames":    PlannerNames,
-		"EvictorNames":    EvictorNames,
-		"PoolPolicyNames": PoolPolicyNames,
+		"PlannerNames": PlannerNames,
+		"EvictorNames": EvictorNames,
 	} {
 		if got := names(); !sort.StringsAreSorted(got) {
 			t.Errorf("%s() not sorted: %v", name, got)

@@ -16,9 +16,6 @@ import (
 type ResultDoc struct {
 	Version int                  `json:"version"`
 	Cells   []resultio.CellEntry `json:"cells"`
-	// Colo holds the job's co-location entries, present only when the
-	// submission had colo cells.
-	Colo []resultio.CXLEntry `json:"colo,omitempty"`
 }
 
 // DecodeResult parses and validates a job result payload: version
@@ -43,15 +40,6 @@ func DecodeResult(payload []byte) (*ResultDoc, error) {
 		}
 		if _, err := resultio.ReadCellEntry(&buf); err != nil {
 			return nil, fmt.Errorf("serve: result cell %d: %w", i, err)
-		}
-	}
-	for i := range doc.Colo {
-		var buf bytes.Buffer
-		if err := resultio.WriteCXLEntry(&buf, &doc.Colo[i]); err != nil {
-			return nil, fmt.Errorf("serve: result colo cell %d: %w", i, err)
-		}
-		if _, err := resultio.ReadCXLEntry(&buf); err != nil {
-			return nil, fmt.Errorf("serve: result colo cell %d: %w", i, err)
 		}
 	}
 	return &doc, nil

@@ -8,7 +8,7 @@ import (
 
 // FuzzJobRequestExpand hardens job intake against arbitrary submissions:
 // a document that strictly decodes must either be rejected by expand or
-// expand to at most maxCells units — exactly the count cellCount
+// expand to at most maxCells cells — exactly the count cellCount
 // predicted — and neither outcome may allocate more than a small fixed
 // budget, however large a cross-product the request names.
 func FuzzJobRequestExpand(f *testing.F) {
@@ -23,7 +23,7 @@ func FuzzJobRequestExpand(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		cells, colos, err := req.expand(maxCells)
+		cells, err := req.expand(maxCells)
 		runtime.ReadMemStats(&after)
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > allocBudget {
 			t.Fatalf("expand allocated %d bytes (budget %d)\ninput: %q", alloc, allocBudget, doc)
@@ -31,12 +31,12 @@ func FuzzJobRequestExpand(f *testing.F) {
 		if err != nil {
 			return
 		}
-		n := len(cells) + len(colos)
+		n := len(cells)
 		if n == 0 || n > maxCells {
-			t.Fatalf("expand accepted %d units (limit %d)\ninput: %q", n, maxCells, doc)
+			t.Fatalf("expand accepted %d cells (limit %d)\ninput: %q", n, maxCells, doc)
 		}
 		if c := req.cellCount(); c != uint64(n) {
-			t.Fatalf("cellCount predicted %d units, expand produced %d\ninput: %q", c, n, doc)
+			t.Fatalf("cellCount predicted %d cells, expand produced %d\ninput: %q", c, n, doc)
 		}
 	})
 }

@@ -9,10 +9,9 @@
 // overlapping sweeps from concurrent clients are near-free cache hits
 // with byte-identical payloads.
 //
-// The job-spec types here are the shared vocabulary: figures,
-// tournaments and CXL co-location sweeps are expressible as submissions
-// (internal/experiments FigureJob/TournamentJob/ColoJob) and the CLIs
-// are thin clients (Client).
+// The job-spec types here are the shared vocabulary: figures and
+// tournaments are expressible as submissions (internal/experiments
+// FigureJob/TournamentJob) and the CLIs are thin clients (Client).
 package serve
 
 import (
@@ -20,8 +19,6 @@ import (
 
 	"uvmsim/internal/cliutil"
 	"uvmsim/internal/config"
-	"uvmsim/internal/cxl"
-	"uvmsim/internal/mm"
 	"uvmsim/internal/satmath"
 	"uvmsim/internal/workloads"
 )
@@ -68,12 +65,6 @@ type JobRequest struct {
 
 	// Cells are explicit extra cells appended after the matrix.
 	Cells []CellSpec `json:"cells,omitempty"`
-
-	// Colo are multi-tenant co-location cells over the pooled CXL tier
-	// (DESIGN.md §15), appended after the workload cells. Like every
-	// other cell they are deterministic and content-addressed, so
-	// repeated co-location sweeps are cache hits.
-	Colo []ColoSpec `json:"colo,omitempty"`
 }
 
 // CellSpec is one explicit simulation cell.
@@ -87,31 +78,6 @@ type CellSpec struct {
 	Base *config.Config `json:"base,omitempty"`
 }
 
-// ColoSpec is one explicit co-location cell: a tenant mix co-scheduled
-// over the pooled CXL tier under one pool policy. The run is
-// deterministic (results are identical at any worker count, so the
-// service always executes it sequentially) and the cache key covers
-// everything behaviour-visible.
-type ColoSpec struct {
-	// Tenants is the co-scheduled mix in cxl.ParseTenants syntax:
-	// "workload:gpu:priority" entries separated by commas.
-	Tenants string `json:"tenants"`
-	// GPUs is the number of GPUs sharing the pool.
-	GPUs int `json:"gpus"`
-	// PoolMB sizes the pooled CXL tier in MiB; it overrides the base
-	// config's CXLPoolBytes when non-zero. The resulting pool must be
-	// non-empty — a co-location cell without a pooled tier is an error.
-	PoolMB uint64 `json:"poolMB,omitempty"`
-	// PoolPolicy is the pool-policy name (empty = the registry default,
-	// cxl-repl).
-	PoolPolicy string `json:"poolPolicy,omitempty"`
-	// Epochs and Seed size and seed the run (0 = scenario defaults).
-	Epochs int    `json:"epochs,omitempty"`
-	Seed   uint64 `json:"seed,omitempty"`
-	// Base overrides the job-level base configuration for this cell.
-	Base *config.Config `json:"base,omitempty"`
-}
-
 // cell is one fully resolved unit of work.
 type cell struct {
 	workload string
@@ -119,17 +85,6 @@ type cell struct {
 	pct      uint64
 	policy   config.MigrationPolicy
 	base     config.Config
-}
-
-// coloCell is one fully resolved co-location unit of work.
-type coloCell struct {
-	sc cxl.ScenarioConfig
-	// policy is the resolved effective pool-policy name (the registry
-	// default spelled out), used as the entry's scenario name.
-	policy string
-	// tenants is the canonical "workload:gpu:priority" spelling recorded
-	// in the result entry.
-	tenants []string
 }
 
 // defaultOversubPercents is the matrix default: the paper's
@@ -178,7 +133,7 @@ func (r *JobRequest) cellCount() uint64 {
 			n = satmath.Mul(n, uint64(d))
 		}
 	}
-	return satmath.Add(n, uint64(len(r.Cells))+uint64(len(r.Colo)))
+	return satmath.Add(n, uint64(len(r.Cells)))
 }
 
 // cells validates the request and expands it into its deterministic
@@ -241,90 +196,22 @@ func (r *JobRequest) cells() ([]cell, error) {
 	return cells, nil
 }
 
-// coloCells validates and resolves the request's co-location cells.
-func (r *JobRequest) coloCells() ([]coloCell, error) {
-	base := r.baseConfig()
-	var cells []coloCell
-	for i, spec := range r.Colo {
-		b := base
-		if spec.Base != nil {
-			b = *spec.Base
-		}
-		if spec.PoolMB > 0 {
-			b.CXLPoolBytes = spec.PoolMB << 20
-		}
-		if b.CXLPoolBytes == 0 {
-			return nil, fmt.Errorf("serve: colo cell %d: requires a pooled tier (set poolMB or CXLPoolBytes)", i)
-		}
-		policy, err := cliutil.ParseComponentName("pool policy", spec.PoolPolicy, mm.PoolPolicyNames())
-		if err != nil {
-			return nil, fmt.Errorf("serve: colo cell %d: %v", i, err)
-		}
-		// Canonicalize to the effective policy's registered name (the
-		// registry default spelled out), so a defaulted and an explicit
-		// spelling of the same cell share one cache entry.
-		pol, err := mm.NewPoolPolicy(policy, b)
-		if err != nil {
-			return nil, fmt.Errorf("serve: colo cell %d: %v", i, err)
-		}
-		b.PoolPolicy = pol.Name()
-		if err := b.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: colo cell %d: %v", i, err)
-		}
-		if spec.Epochs < 0 {
-			return nil, fmt.Errorf("serve: colo cell %d: epochs must be non-negative, got %d", i, spec.Epochs)
-		}
-		if spec.GPUs < 1 || spec.GPUs > 64 {
-			return nil, fmt.Errorf("serve: colo cell %d: %d GPUs out of range (1..64)", i, spec.GPUs)
-		}
-		tenants, err := cxl.ParseTenants(spec.Tenants, spec.GPUs)
-		if err != nil {
-			return nil, fmt.Errorf("serve: colo cell %d: %v", i, err)
-		}
-		strs := make([]string, len(tenants))
-		for j, t := range tenants {
-			strs[j] = fmt.Sprintf("%s:%d:%d", t.Workload, t.GPU, t.Priority)
-		}
-		cells = append(cells, coloCell{
-			sc: cxl.ScenarioConfig{
-				Cfg:     b,
-				GPUs:    spec.GPUs,
-				Tenants: tenants,
-				Epochs:  spec.Epochs,
-				Seed:    spec.Seed,
-				// The service always runs co-location cells sequentially;
-				// results are identical at any worker count, so Workers
-				// must not split cache keys.
-				Workers: 1,
-			},
-			policy:  pol.Name(),
-			tenants: strs,
-		})
-	}
-	return cells, nil
-}
-
 // expand validates the request and resolves it into its deterministic
-// unit lists: workload cells followed by co-location cells. A request
-// expanding to more than maxCells units is rejected before any cell is
-// materialized, so a small request naming a huge cross-product costs
-// no memory.
-func (r *JobRequest) expand(maxCells int) ([]cell, []coloCell, error) {
+// cell list. A request expanding to more than maxCells cells is
+// rejected before any cell is materialized, so a small request naming
+// a huge cross-product costs no memory.
+func (r *JobRequest) expand(maxCells int) ([]cell, error) {
 	if n := r.cellCount(); n > uint64(maxCells) {
-		return nil, nil, fmt.Errorf("serve: job expands to %d cells (limit %d)", n, maxCells)
+		return nil, fmt.Errorf("serve: job expands to %d cells (limit %d)", n, maxCells)
 	}
 	cells, err := r.cells()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	colos, err := r.coloCells()
-	if err != nil {
-		return nil, nil, err
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("serve: job expands to no cells (empty matrix and no explicit cells)")
 	}
-	if len(cells)+len(colos) == 0 {
-		return nil, nil, fmt.Errorf("serve: job expands to no cells (empty matrix and no explicit cells)")
-	}
-	return cells, colos, nil
+	return cells, nil
 }
 
 // validate checks the fields submit-time can check cheaply: the

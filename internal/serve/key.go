@@ -43,46 +43,6 @@ type keyDoc struct {
 	Config         config.Config
 }
 
-// coloKeyDoc is the canonical key document for a co-location cell. The
-// hashed Config is the resolved per-cell configuration (pool size and
-// policy applied), and the tenant mix is the canonical
-// "workload:gpu:priority" spelling, so equivalent submissions (elided
-// default priority, unresolved default policy) share one entry. Epochs
-// and Seed are hashed verbatim: zero deterministically selects the
-// scenario defaults, so distinct spellings of the same run at worst
-// split the cache, never corrupt it.
-type coloKeyDoc struct {
-	KeyVersion int
-	GPUs       int
-	Tenants    []string
-	Epochs     int
-	Seed       uint64
-	Config     config.Config
-}
-
-// ColoKey returns the canonical content address for one co-location
-// cell.
-func ColoKey(gpus int, tenants []string, epochs int, seed uint64, derived config.Config) string {
-	// Worker count never changes a co-location result (the scenarios are
-	// byte-identical at any worker count), so
-	// it must not split the key space.
-	derived.ClusterWorkers = 0
-	doc, err := json.Marshal(coloKeyDoc{
-		KeyVersion: KeyVersion,
-		GPUs:       gpus,
-		Tenants:    tenants,
-		Epochs:     epochs,
-		Seed:       seed,
-		Config:     derived,
-	})
-	if err != nil {
-		// config.Config is a plain value struct; Marshal cannot fail.
-		panic(fmt.Sprintf("serve: canonical colo key encoding failed: %v", err))
-	}
-	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:])
-}
-
 // CellKey returns the canonical content address for one cell: the
 // hex-encoded SHA-256 of the canonical key document.
 func CellKey(workload string, scale float64, oversubPercent uint64, derived config.Config) string {

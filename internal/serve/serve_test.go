@@ -218,15 +218,22 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	// Unknown top-level fields must be rejected, not ignored.
-	resp, err := c.HTTPClient.Post(c.BaseURL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"workloads":["bfs"],"bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: got %s, want 400", resp.Status)
+	// Unknown fields must be rejected, not ignored: a bogus top-level
+	// field, and the removed co-location list and pooled-tier config
+	// field, which older clients may still send.
+	for name, doc := range map[string]string{
+		"unknown field":     `{"workloads":["bfs"],"bogus":1}`,
+		"colo list":         `{"colo":[{"tenants":"bfs:0:1","gpus":1}]}`,
+		"pool config field": `{"workloads":["bfs"],"base":{"CXLPoolBytes":67108864}}`,
+	} {
+		resp, err := c.HTTPClient.Post(c.BaseURL+"/v1/jobs", "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: got %s, want 400", name, resp.Status)
+		}
 	}
 
 	if _, err := c.Status("job-999"); err == nil {
@@ -273,7 +280,7 @@ func TestCellCountSaturates(t *testing.T) {
 	if n := req.cellCount(); n != math.MaxUint64 {
 		t.Fatalf("cellCount = %d, want saturation at MaxUint64", n)
 	}
-	if _, _, err := req.expand(4096); err == nil {
+	if _, err := req.expand(4096); err == nil {
 		t.Fatal("overflowing request accepted")
 	}
 	small := smallJob("x")

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"uvmsim/internal/core"
-	"uvmsim/internal/cxl"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/resultio"
 	"uvmsim/internal/sweep"
@@ -197,20 +196,19 @@ func (j *jobState) result() ([]byte, bool) {
 // status. It is the programmatic equivalent of POST /v1/jobs (the load
 // test and in-process tests use it directly).
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	cells, colos, err := req.expand(s.opts.MaxCells)
+	cells, err := req.expand(s.opts.MaxCells)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	total := len(cells) + len(colos)
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("job-%d", s.seq)
-	j := newJobState(id, req.Name, total)
+	j := newJobState(id, req.Name, len(cells))
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 	s.jobsSubmitted.Add(1)
-	go s.runJob(j, cells, colos)
+	go s.runJob(j, cells)
 	return j.status(), nil
 }
 
@@ -229,7 +227,7 @@ func (s *Server) job(id string) (*jobState, bool) {
 // claiming cells, in-flight cells finish, no goroutine leaks — and
 // surfaces here as a failed job; the shared token pool is returned in
 // full, so later jobs are unaffected.
-func (s *Server) runJob(j *jobState, cells []cell, colos []coloCell) {
+func (s *Server) runJob(j *jobState, cells []cell) {
 	defer func() {
 		if r := recover(); r != nil {
 			// Count before publishing the state: a client that sees the
@@ -238,46 +236,27 @@ func (s *Server) runJob(j *jobState, cells []cell, colos []coloCell) {
 			j.fail(fmt.Sprint(r))
 		}
 	}()
-	fns := make([]func() []byte, 0, len(cells)+len(colos))
+	fns := make([]func() []byte, 0, len(cells))
 	for _, c := range cells {
 		c := c
 		fns = append(fns, func() []byte { return s.runCell(j, c) })
-	}
-	for _, c := range colos {
-		c := c
-		fns = append(fns, func() []byte { return s.runColoCell(j, c) })
 	}
 	workers := s.opts.Workers
 	payloads := sweep.Parallel(fns, workers)
 
 	// Entry payloads are newline-terminated JSON documents; splice them
-	// verbatim so a cache hit reproduces the bytes exactly. The colo
-	// section is emitted only when present, keeping pure workload-sweep
-	// payloads byte-identical to the pre-colo format.
-	splice := func(buf *bytes.Buffer, ps [][]byte) {
-		for i, p := range ps {
-			if i > 0 {
-				buf.WriteString(",\n")
-			}
-			buf.Write(bytes.TrimRight(p, "\n"))
-		}
-	}
+	// verbatim so a cache hit reproduces the bytes exactly.
 	var buf bytes.Buffer
 	buf.WriteString("{\n  \"version\": ")
 	fmt.Fprintf(&buf, "%d", ResultFormatVersion)
-	if len(cells) == 0 {
-		buf.WriteString(",\n  \"cells\": []")
-	} else {
-		buf.WriteString(",\n  \"cells\": [\n")
-		splice(&buf, payloads[:len(cells)])
-		buf.WriteString("\n  ]")
+	buf.WriteString(",\n  \"cells\": [\n")
+	for i, p := range payloads {
+		if i > 0 {
+			buf.WriteString(",\n")
+		}
+		buf.Write(bytes.TrimRight(p, "\n"))
 	}
-	if len(colos) > 0 {
-		buf.WriteString(",\n  \"colo\": [\n")
-		splice(&buf, payloads[len(cells):])
-		buf.WriteString("\n  ]")
-	}
-	buf.WriteString("\n}\n")
+	buf.WriteString("\n  ]\n}\n")
 	s.jobsCompleted.Add(1)
 	j.finish(buf.Bytes())
 }
@@ -306,52 +285,6 @@ func (s *Server) runCell(j *jobState, c cell) []byte {
 	var buf bytes.Buffer
 	if err := resultio.WriteCellEntry(&buf, entry); err != nil {
 		panic(fmt.Sprintf("serve: encoding cell entry: %v", err))
-	}
-	s.cache.Put(key, buf.Bytes())
-	s.cellsSimulated.Add(1)
-	s.cellsCompleted.Add(1)
-	j.cellDone(false)
-	return buf.Bytes()
-}
-
-// runColoCell executes one co-location cell — cache hit or scenario run
-// — and returns its canonical entry payload. Construction and run
-// errors abort the job through the sweep.Parallel panic path, exactly
-// like an invalid workload-cell config.
-func (s *Server) runColoCell(j *jobState, c coloCell) []byte {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-
-	key := ColoKey(c.sc.GPUs, c.tenants, c.sc.Epochs, c.sc.Seed, c.sc.Cfg)
-	if p, ok := s.cache.Get(key); ok {
-		s.cellsCached.Add(1)
-		s.cellsCompleted.Add(1)
-		j.cellDone(true)
-		return p
-	}
-	sc, err := cxl.NewScenario(c.sc)
-	if err != nil {
-		panic(fmt.Sprintf("serve: colo cell: %v", err))
-	}
-	res, err := sc.Run()
-	if err != nil {
-		panic(fmt.Sprintf("serve: colo cell: %v", err))
-	}
-	entry := &resultio.CXLEntry{
-		Version: resultio.CXLFormatVersion,
-		Key:     key,
-		Scenario: resultio.CXLScenario{
-			Name:    c.policy,
-			Policy:  c.policy,
-			GPUs:    c.sc.GPUs,
-			Tenants: c.tenants,
-			Seed:    c.sc.Seed,
-			Result:  *res,
-		},
-	}
-	var buf bytes.Buffer
-	if err := resultio.WriteCXLEntry(&buf, entry); err != nil {
-		panic(fmt.Sprintf("serve: encoding colo entry: %v", err))
 	}
 	s.cache.Put(key, buf.Bytes())
 	s.cellsSimulated.Add(1)

@@ -5,7 +5,6 @@ import (
 	"uvmsim/internal/interconnect"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/obs"
-	"uvmsim/internal/tier"
 )
 
 // evictOne frees one eviction unit through the pipeline's eviction
@@ -101,7 +100,7 @@ func (h *evictionHost) BlockCandidates(strict bool) []evict.Candidate {
 		first := cs.info.FirstBlock()
 		for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
 			bs := d.blockAt(b)
-			if bs == nil || !bs.resident() {
+			if bs == nil || !bs.resident {
 				continue
 			}
 			recent := strict && d.cfg.EvictionRecencyGuard > 0 &&
@@ -134,7 +133,7 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 	}
 	b, cs := d.numScratch[idx], d.ownerScratch[idx]
 	bs := d.blockAt(b)
-	bs.home = tier.HostIndex
+	bs.resident = false
 	d.ctrs.NoteEviction(uint64(b))
 	bs.everEvicted = true
 	d.st.TLBShootdowns += d.gmmuTLB.invalidateRange(memunits.FirstPageOfBlock(b), memunits.PagesPerBlock)
@@ -163,10 +162,10 @@ func (d *Driver) evictChunk(cs *chunkState) {
 	var evictedBlocks, dirtyBlocks uint64
 	for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
 		bs := d.blockAt(b)
-		if bs == nil || !bs.resident() {
+		if bs == nil || !bs.resident {
 			continue
 		}
-		bs.home = tier.HostIndex
+		bs.resident = false
 		d.ctrs.NoteEviction(uint64(b))
 		bs.everEvicted = true
 		evictedBlocks++

@@ -3,8 +3,6 @@ package uvmsim
 import (
 	"slices"
 	"testing"
-
-	"uvmsim/internal/cxl"
 )
 
 // ledgerRow pins the deterministic simulated-cycle figures of one run.
@@ -73,43 +71,9 @@ func clusterRow(*testing.T) []uint64 {
 	return makespans
 }
 
-// coloRow runs the canonical co-location mix — an irregular graph pair
-// sharing GPU 0 and a regular tenant alone on GPU 1, over a 64 MiB CXL
-// pool — under each pool policy, returning cycles and checksum per
-// policy. It also checks the co-location headline: counter-arbitrated
-// replication beats naive migrate-on-touch.
-func coloRow(t *testing.T) []uint64 {
-	tenants, err := cxl.ParseTenants("bfs:0:1,sssp:0:0,backprop:1:1", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []uint64
-	cycles := make(map[string]uint64)
-	for _, policy := range []string{"cxl-migrate", "cxl-repl", "pool-remote"} {
-		cfg := DefaultConfig()
-		cfg.CXLPoolBytes = 64 << 20
-		cfg.PoolPolicy = policy
-		s, err := cxl.NewScenario(cxl.ScenarioConfig{Cfg: cfg, GPUs: 2, Tenants: tenants, Seed: 3, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cycles[policy] = r.SimCycles
-		got = append(got, r.SimCycles, r.Checksum)
-	}
-	if repl, naive := cycles["cxl-repl"], cycles["cxl-migrate"]; repl >= naive {
-		t.Errorf("cxl-repl %d cycles not better than cxl-migrate %d", repl, naive)
-	}
-	return got
-}
-
 // TestCycleLedger is the repo's behaviour-drift gate: the simulated
-// cycles (and, for co-location, checksums) of the runs the README
-// headlines. Host time is perfbench's concern; these figures are
-// machine-independent.
+// cycles of the runs the README headlines. Host time is perfbench's
+// concern; these figures are machine-independent.
 func TestCycleLedger(t *testing.T) {
 	rows := []ledgerRow{
 		{name: "fig67-scale0.1-bfs-sssp", run: fig67Row(0.1, "bfs", "sssp"), want: []uint64{93224877}},
@@ -125,12 +89,6 @@ func TestCycleLedger(t *testing.T) {
 			26680551, 53424, 48912,
 		}},
 		{name: "cluster-ra-4gpu-scale0.5", run: clusterRow, want: []uint64{6800942, 6800942}},
-		// Cycles and checksum for cxl-migrate, cxl-repl, pool-remote.
-		{name: "colo-canonical-mix", run: coloRow, want: []uint64{
-			14728907, 6796852670599056594,
-			3979279, 17109801806181445802,
-			475668, 5026415844594431124,
-		}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
