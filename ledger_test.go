@@ -56,6 +56,30 @@ func thrashRow(*testing.T) []uint64 {
 	return got
 }
 
+// plannersRow runs bfs, ra and sssp at scale 0.3 and 125%
+// oversubscription under Adaptive with p = 8, once per migration
+// planner. Per planner it returns each workload's runtime, then the far
+// faults, thrashed pages and remote accesses summed over the three. A
+// planner stays in the mm registry only if it beats threshold here.
+func plannersRow(*testing.T) []uint64 {
+	var got []uint64
+	for _, planner := range []string{"thrash-guard", "threshold"} {
+		cfg := DefaultConfig()
+		cfg.Penalty = 8
+		cfg.MMPipeline.Planner = planner
+		var far, thrashed, remote uint64
+		for _, name := range []string{"bfs", "ra", "sssp"} {
+			r := RunWorkload(name, 0.3, 125, PolicyAdaptive, cfg)
+			got = append(got, r.Runtime())
+			far += r.Counters.FarFaults
+			thrashed += r.Counters.ThrashedPages
+			remote += r.Counters.RemoteReads + r.Counters.RemoteWrites
+		}
+		got = append(got, far, thrashed, remote)
+	}
+	return got
+}
+
 // clusterRow runs a 4-GPU ra cluster at scale 0.5 under Adaptive at 125%
 // oversubscription, sequentially and on two coordinator workers; the
 // two makespans must both equal the pinned one.
@@ -87,6 +111,12 @@ func TestCycleLedger(t *testing.T) {
 			192646360, 487424, 459104,
 			196030362, 496816, 467008,
 			26680551, 53424, 48912,
+		}},
+		// Per planner: bfs, ra and sssp runtime, then far faults,
+		// thrashed pages and remote accesses over the three.
+		{name: "planners-scale0.3", run: plannersRow, want: []uint64{
+			8418805, 3559166, 20396596, 1048, 18960, 515916, // thrash-guard
+			8562116, 4586872, 25809545, 2636, 69632, 108810, // threshold
 		}},
 		{name: "cluster-ra-4gpu-scale0.5", run: clusterRow, want: []uint64{6800942, 6800942}},
 	}
