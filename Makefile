@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint lint-fix-check tools staticcheck govulncheck race bench ledger figures check ci smoke cover tournament tournament-smoke serve-smoke
+.PHONY: build test short vet lint lint-fix-check tools staticcheck govulncheck race bench ledger figures check ci smoke cover serve-smoke
 
 # Pinned tool versions for CI (and for local installs that want to match
 # CI exactly). Bump deliberately; staticcheck versions are coupled to Go
@@ -77,32 +77,19 @@ race: vet
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Behaviour-drift gate: TestCycleLedger pins the exact simulated cycles
-# (and co-location checksums) of the Fig. 6/7 sweep at scale 0.1 and
-# 1.0, the 4-GPU cluster (sequential and parallel) and the canonical
-# co-location mix under every pool policy. An intentional behaviour
-# change edits the ledger row to the value the failure prints.
+# Behaviour-drift gate: TestCycleLedger pins the exact simulated figures
+# of the Fig. 6/7 sweep at scale 0.1 and 1.0, spatter and pointerchase,
+# the ra thrash cell at 150%, the planner comparison (thrash-guard
+# against threshold) and the 4-GPU cluster (sequential and parallel).
+# An intentional behaviour change edits the ledger row to the value the
+# failure prints.
 ledger:
 	$(GO) test -run TestCycleLedger -count=1 -v .
 
 figures:
 	$(GO) run ./cmd/paperbench -fig all
 
-# Regenerate the committed pipeline-tournament leaderboard: every
-# registered planner over the default workload matrix (bfs, ra, sssp)
-# at 125% oversubscription. Deterministic — reruns produce an identical
-# file, so a diff here is a behaviour change, not noise.
-tournament:
-	$(GO) run ./cmd/paperbench -tournament -scale 0.3 -tournament-out BENCH_tournament.json
-
-# Fast tournament slice for CI: both planners (static threshold vs
-# thrash-guard) over two workloads at a small scale, proving the harness
-# end to end without the full matrix cost.
-tournament-smoke:
-	$(GO) run ./cmd/paperbench -tournament -scale 0.05 -workloads bfs,ra \
-		-tournament-planners threshold,thrash-guard -tournament-out -
-
-# End-to-end smoke of the simd sweep service (cmd/simd, DESIGN.md §14):
+# End-to-end smoke of the simd sweep service (cmd/simd, DESIGN.md §13):
 # an in-process server, a small bfs job submitted twice, hard assertions
 # that the resubmission is a pure cache hit with a byte-identical
 # payload and that the progress stream, cache stats and metrics
@@ -129,7 +116,6 @@ smoke:
 
 # What CI runs (.github/workflows/ci.yml): vet + simlint + the fix
 # convergence gate + staticcheck + govulncheck, build, race-detected
-# tests, the coverage floor, the observability smoke, the tournament
-# smoke, the sweep-service smoke, then the cycle ledger (whose
-# scale-1.0 row the race run skips).
-ci: vet lint lint-fix-check staticcheck govulncheck build race cover smoke tournament-smoke serve-smoke ledger
+# tests, the coverage floor, the observability smoke, the sweep-service
+# smoke, then the cycle ledger (whose scale-1.0 row the race run skips).
+ci: vet lint lint-fix-check staticcheck govulncheck build race cover smoke serve-smoke ledger

@@ -37,11 +37,9 @@ import (
 
 	"uvmsim"
 	"uvmsim/internal/cliutil"
-	"uvmsim/internal/experiments"
 	"uvmsim/internal/mm"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/plot"
-	"uvmsim/internal/resultio"
 )
 
 func main() {
@@ -58,11 +56,6 @@ type options struct {
 	sample     uint64
 	cpuprofile string
 	memprofile string
-
-	tournament         bool
-	tournamentOut      string
-	tournamentOversub  uint64
-	tournamentPlanners string
 
 	metricsJSON     string
 	traceOut        string
@@ -96,10 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&o.sample, "sample", 256, "Fig. 3 sampling density (1 = every access)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.BoolVar(&o.tournament, "tournament", false, "run the pipeline tournament: rank every migration planner by total simulated cycles over the workload matrix")
-	fs.StringVar(&o.tournamentOut, "tournament-out", "", "with -tournament, also write the leaderboard as a versioned JSON suite to this file ('-' for stdout)")
-	fs.Uint64Var(&o.tournamentOversub, "tournament-oversub", 125, "with -tournament, working set as % of device memory per cell")
-	fs.StringVar(&o.tournamentPlanners, "tournament-planners", "", "with -tournament, comma-separated planner subset (default: "+strings.Join(experiments.DefaultTournamentPlanners(), ",")+")")
 	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write the observability metric registry of every simulation cell to this file as JSON ('-' for stdout)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write cycle-stamped timeline traces to this file (.jsonl = compact JSONL, otherwise Chrome trace_event JSON)")
 	fs.Uint64Var(&o.traceSample, "trace-sample", 1, "keep one of every N trace spans (with -trace-out; 1 = all)")
@@ -107,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !o.table1 && o.fig == "" && !o.tournament {
+	if !o.table1 && o.fig == "" {
 		fs.Usage()
 		return 2
 	}
@@ -238,11 +227,6 @@ func execute(o options, stdout, stderr io.Writer) (err error) {
 		o.opt.Observe = suite.NewRun
 	}
 
-	if o.tournament {
-		if err := runTournament(o, stdout, stderr); err != nil {
-			return err
-		}
-	}
 	if o.table1 {
 		fmt.Fprint(stdout, uvmsim.Table1(uvmsim.DefaultConfig()))
 		fmt.Fprintln(stdout)
@@ -347,58 +331,5 @@ func runFigures(fig string, csv, plotOut bool, sample uint64, opt uvmsim.Experim
 			return fmt.Errorf("unknown figure %q", f)
 		}
 	}
-	return nil
-}
-
-// runTournament ranks every requested migration planner by total
-// simulated cycles over the workload matrix, printing the leaderboard
-// (table, CSV or bar chart) and optionally archiving it as a versioned
-// JSON suite.
-func runTournament(o options, stdout, stderr io.Writer) error {
-	topt := uvmsim.TournamentOptions{
-		Options:        o.opt,
-		OversubPercent: o.tournamentOversub,
-	}
-	if o.tournamentPlanners != "" {
-		for _, p := range cliutil.SplitList(o.tournamentPlanners) {
-			name, err := cliutil.ParseComponentName("planner", p, mm.PlannerNames())
-			if err != nil {
-				return err
-			}
-			topt.Planners = append(topt.Planners, name)
-		}
-	}
-	res := uvmsim.Tournament(topt)
-	t := res.Table()
-	switch {
-	case o.csv:
-		fmt.Fprint(stdout, res.CSV())
-	case o.plotOut:
-		rows := make([]plot.NamedRow, len(t.Rows))
-		for i, r := range t.Rows {
-			rows[i] = plot.NamedRow{Label: r.Label, Values: r.Values}
-		}
-		fmt.Fprint(stdout, plot.GroupedBars(t.Title+"\n"+t.Metric, t.Columns, rows, 50))
-	default:
-		fmt.Fprint(stdout, t.Format())
-	}
-	fmt.Fprintln(stdout)
-	if o.tournamentOut == "" {
-		return nil
-	}
-	suite := res.Suite()
-	suite.GoVersion = runtime.Version()
-	if o.tournamentOut == "-" {
-		return resultio.WriteTournamentSuite(stdout, suite)
-	}
-	f, err := os.Create(o.tournamentOut)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := resultio.WriteTournamentSuite(f, suite); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote %s\n", o.tournamentOut)
 	return nil
 }

@@ -41,12 +41,17 @@ func TestInvalidInvocationsExitNonZero(t *testing.T) {
 		{"negativeWorkers", []string{"-fig", "1", "-workers", "-1"}, "-workers must be non-negative"},
 		{"negativeClusterWorkers", []string{"-fig", "1", "-cluster-workers", "-2"}, "-cluster-workers must be non-negative"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
+		// The planner tournament is gone; its flags must fail at parsing.
+		{"removedTournament", []string{"-tournament"}, "flag provided but not defined: -tournament"},
+		{"removedTournamentOut", []string{"-tournament-out", "-"}, "flag provided but not defined: -tournament-out"},
+		{"removedTournamentOversub", []string{"-tournament-oversub", "125"}, "flag provided but not defined: -tournament-oversub"},
+		{"removedTournamentPlanners", []string{"-tournament-planners", "threshold"}, "flag provided but not defined: -tournament-planners"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, stderr := runCLI(t, tc.args...)
-			if code == 0 {
-				t.Fatalf("run(%q) = 0, want non-zero", tc.args)
+			if code != 2 {
+				t.Fatalf("run(%q) = %d, want 2", tc.args, code)
 			}
 			if !strings.Contains(stderr, tc.wantErr) {
 				t.Fatalf("stderr = %q, want substring %q", stderr, tc.wantErr)

@@ -1,7 +1,7 @@
 // Command simd runs the sweep service: a long-running HTTP/JSON server
 // that accepts simulation sweep jobs, shards their cells across a
 // bounded worker pool, and memoizes every completed cell in a
-// content-addressed result cache (see DESIGN.md §14).
+// content-addressed result cache (see DESIGN.md §13).
 //
 // Server:
 //
@@ -13,7 +13,7 @@
 //	simd -server http://127.0.0.1:8642 -submit job.json   # submit a job file
 //	simd -server http://127.0.0.1:8642 -fig fig6          # submit a figure sweep
 //	simd -fig fig6 -print-job                             # print the job JSON, don't submit
-//	simd -server ... -fig tournament -out result.json     # save the result payload
+//	simd -server ... -fig fig6 -out result.json           # save the result payload
 //
 // Smoke:
 //
@@ -67,8 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.maxCells, "max-cells", 0, "reject jobs expanding to more cells than this (0 = 4096)")
 	fs.StringVar(&o.server, "server", "", "client mode: server base URL")
 	fs.StringVar(&o.submit, "submit", "", "client mode: job request JSON file to submit ('-' = stdin)")
-	fs.StringVar(&o.fig, "fig", "", "client mode: submit a figure sweep ("+
-		fmt.Sprint(experiments.FigureNames())+" or 'tournament')")
+	fs.StringVar(&o.fig, "fig", "", "client mode: submit a figure sweep "+fmt.Sprint(experiments.FigureNames()))
 	fs.Float64Var(&o.scale, "scale", 1.0, "with -fig, workload scale factor (1.0 = paper size)")
 	fs.StringVar(&o.wl, "workloads", "", "with -fig, comma-separated workload subset (default: the figure's own)")
 	fs.BoolVar(&o.printJob, "print-job", false, "with -fig or -submit, print the job request JSON and exit without submitting")
@@ -145,9 +144,6 @@ func buildJob(o options) (serve.JobRequest, error) {
 		eo := experiments.Options{Scale: o.scale}
 		if o.wl != "" {
 			eo.Workloads = cliutil.SplitList(o.wl)
-		}
-		if o.fig == "tournament" {
-			return experiments.TournamentJob(experiments.TournamentOptions{Options: eo}), nil
 		}
 		return experiments.FigureJob(o.fig, eo)
 	default:

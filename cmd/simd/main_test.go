@@ -66,10 +66,11 @@ func TestSubmitFilePrintJob(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
-		{},                             // no mode
-		{"-addr", "x", "-smoke"},       // two modes
-		{"-fig", "fig2", "-print-job"}, // unmapped figure
-		{"-fig", "colo", "-print-job"}, // removed co-location sweep
+		{},                                          // no mode
+		{"-addr", "x", "-smoke"},                    // two modes
+		{"-fig", "fig2", "-print-job"},              // unmapped figure
+		{"-fig", "colo", "-print-job"},              // removed co-location sweep
+		{"-fig", "tournament", "-print-job"},        // removed planner tournament
 		{"-fig", "x", "-submit", "y", "-print-job"}, // mutually exclusive
 		{"-smoke", "extra"},                         // stray operand
 	}

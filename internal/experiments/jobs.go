@@ -90,29 +90,6 @@ func FigureJob(fig string, o Options) (serve.JobRequest, error) {
 	return req, nil
 }
 
-// TournamentJob expresses a pipeline tournament as a simd job
-// submission: every planner over the workload matrix, Adaptive at the configured oversubscription with the paper's
-// p=8, exactly the cells Tournament simulates.
-func TournamentJob(o TournamentOptions) serve.JobRequest {
-	o = o.withDefaults()
-	base := o.Base
-	base.Penalty = 8
-	req := serve.JobRequest{
-		Name:            "tournament",
-		Scale:           o.Scale,
-		Workloads:       o.Options.Workloads,
-		OversubPercents: []uint64{o.OversubPercent},
-		Policies:        []string{"adaptive"},
-		Base:            &base,
-	}
-	for _, pl := range o.Planners {
-		spec := base.MMPipeline
-		spec.Planner = pl
-		req.Pipelines = append(req.Pipelines, spec)
-	}
-	return req
-}
-
 // jobWorkloads guards the figure-job mappings against workload-set
 // drift: a figure job must never reference a workload the registry does
 // not know. (The serve package re-validates at submit time; this lets

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"uvmsim/internal/config"
 	"uvmsim/internal/serve"
 )
 
@@ -32,27 +33,47 @@ func runJob(t *testing.T, req serve.JobRequest) (*serve.ResultDoc, serve.JobStat
 	return doc, st
 }
 
+// thrashGuardBase is the default configuration with the thrash-guard
+// planner selected: a non-default mm pipeline a job's base must carry
+// into every cell.
+func thrashGuardBase() config.Config {
+	b := config.Default()
+	b.MMPipeline.Planner = "thrash-guard"
+	return b
+}
+
 // The Fig6 job must simulate exactly the cells the in-process Fig6And7
 // sweep does: the summed simulated cycles across the job's cells must
-// equal the sweep's deterministic cycle total.
+// equal the sweep's deterministic cycle total. The planners tie at
+// scale 0.1 and below, so a job that drops its base's pipeline shows
+// only at a larger scale.
 func TestFig6JobMatchesInProcessSweep(t *testing.T) {
-	o := Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}}
-	_, _, want := Fig6And7Cycles(o)
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"default-scale0.05", Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}}},
+		{"thrash-guard-scale0.2", Options{Scale: 0.2, Workloads: []string{"bfs", "ra"}, Base: thrashGuardBase()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, want := Fig6And7Cycles(tc.o)
 
-	req, err := FigureJob("fig6", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, st := runJob(t, req)
-	if st.TotalCells != 8 {
-		t.Fatalf("fig6 job expanded to %d cells, want 2 workloads x 4 policies", st.TotalCells)
-	}
-	var got uint64
-	for _, cell := range doc.Cells {
-		got += cell.Record.Counters.Cycles
-	}
-	if got != want {
-		t.Fatalf("job cycles %d != in-process sweep cycles %d", got, want)
+			req, err := FigureJob("fig6", tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, st := runJob(t, req)
+			if st.TotalCells != 8 {
+				t.Fatalf("fig6 job expanded to %d cells, want 2 workloads x 4 policies", st.TotalCells)
+			}
+			var got uint64
+			for _, cell := range doc.Cells {
+				got += cell.Record.Counters.Cycles
+			}
+			if got != want {
+				t.Fatalf("job cycles %d != in-process sweep cycles %d", got, want)
+			}
+		})
 	}
 }
 
@@ -87,50 +108,30 @@ func TestFigureJobShapes(t *testing.T) {
 	}
 }
 
-// The tournament job must cover every planner and agree cycle-for-cycle with the in-process tournament.
-func TestTournamentJobMatchesInProcessTournament(t *testing.T) {
-	to := TournamentOptions{
-		Options:  Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}},
-		Planners: []string{"threshold", "thrash-guard"},
-	}
-	res := Tournament(to)
-	var want uint64
-	for _, e := range res.Entries {
-		want += e.TotalCycles
-	}
-
-	doc, st := runJob(t, TournamentJob(to))
-	if st.TotalCells != 4 {
-		t.Fatalf("tournament job expanded to %d cells, want 2 workloads x 2 planners", st.TotalCells)
-	}
-	var got uint64
-	for _, cell := range doc.Cells {
-		got += cell.Record.Counters.Cycles
-	}
-	if got != want {
-		t.Fatalf("job cycles %d != tournament cycles %d", got, want)
-	}
-}
-
 // A warm pass over a mixed job set must be served entirely from the
-// cache: a cold pass simulates three figure sweeps and a small
-// tournament, then two concurrent clients resubmit every job. The warm
-// pass adds no cache misses or entries, returns byte-identical
-// payloads, and pushes cells at least 10x faster than the cold pass.
+// cache: a cold pass simulates three figure sweeps and a fig6 sweep
+// under the thrash-guard planner, then two concurrent clients resubmit
+// every job. The warm pass adds no cache misses or entries, returns
+// byte-identical payloads, and pushes cells at least 10x faster than
+// the cold pass.
 func TestWarmJobSetIsFullyCached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
 	opt := Options{Scale: 0.05, Workloads: []string{"bfs"}}
+	guarded := opt
+	guarded.Base = thrashGuardBase()
 	var jobs []serve.JobRequest
-	for _, fig := range []string{"fig1", "fig5", "fig6"} {
-		req, err := FigureJob(fig, opt)
+	for _, j := range []struct {
+		fig string
+		o   Options
+	}{{"fig1", opt}, {"fig5", opt}, {"fig6", opt}, {"fig6", guarded}} {
+		req, err := FigureJob(j.fig, j.o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, req)
 	}
-	jobs = append(jobs, TournamentJob(TournamentOptions{Options: opt, Planners: []string{"threshold", "thrash-guard"}}))
 	c := newClient(t)
 
 	// pass runs every (client, job) pair concurrently and returns the

@@ -81,12 +81,8 @@ func TestReadersRejectTrailingData(t *testing.T) {
 	if err := Write(&recBuf, rec); err != nil {
 		t.Fatal(err)
 	}
-	tour := &TournamentSuite{
-		Workloads: []string{"bfs"},
-		Entries:   []TournamentEntry{{Name: "planner=threshold", TotalSimCycles: 1, WorkloadCycles: []uint64{1}}},
-	}
-	var tourBuf bytes.Buffer
-	if err := WriteTournamentSuite(&tourBuf, tour); err != nil {
+	var entryBuf bytes.Buffer
+	if err := WriteCellEntry(&entryBuf, sampleCellEntry(t)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,8 +94,8 @@ func TestReadersRejectTrailingData(t *testing.T) {
 			_, err := Read(r)
 			return err
 		}},
-		"TournamentSuite": {tourBuf.String(), func(r *strings.Reader) error {
-			_, err := ReadTournamentSuite(r)
+		"CellEntry": {entryBuf.String(), func(r *strings.Reader) error {
+			_, err := ReadCellEntry(r)
 			return err
 		}},
 	} {
@@ -119,7 +115,7 @@ func TestReadersRejectTrailingData(t *testing.T) {
 }
 
 // Writers must not mutate their input: defaulting Version happens on a
-// copy. Regression for WriteTournamentSuite writing s.Version in place.
+// copy.
 func TestWritersDoNotMutateInput(t *testing.T) {
 	rec := FromResult(sampleResult(t), 0.05, 100)
 	rec.Version = 0
@@ -128,17 +124,6 @@ func TestWritersDoNotMutateInput(t *testing.T) {
 	}
 	if rec.Version != 0 {
 		t.Errorf("Write mutated rec.Version to %d", rec.Version)
-	}
-
-	tour := &TournamentSuite{
-		Workloads: []string{"bfs"},
-		Entries:   []TournamentEntry{{Name: "planner=threshold", TotalSimCycles: 1, WorkloadCycles: []uint64{1}}},
-	}
-	if err := WriteTournamentSuite(&bytes.Buffer{}, tour); err != nil {
-		t.Fatal(err)
-	}
-	if tour.Version != 0 {
-		t.Errorf("WriteTournamentSuite mutated s.Version to %d", tour.Version)
 	}
 
 	entry := sampleCellEntry(t)

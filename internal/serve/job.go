@@ -1,17 +1,16 @@
 // Package serve turns the one-shot sweep CLIs into a long-running
 // simulation service: an HTTP/JSON server (simd) that accepts sweep
-// jobs — a config matrix crossed with a workload set and pipeline
-// specs — shards the resulting cells across a bounded worker pool built
-// on sweep.Parallel, and memoizes every completed cell in a
-// content-addressed result cache. Every simulation in this repository
-// is single-threaded and deterministic, so a (Config, PipelineSpec,
-// workload name+scale, seed) cell is perfectly cacheable: repeated or
-// overlapping sweeps from concurrent clients are near-free cache hits
-// with byte-identical payloads.
+// jobs — a config matrix crossed with a workload set — shards the
+// resulting cells across a bounded worker pool built on sweep.Parallel,
+// and memoizes every completed cell in a content-addressed result
+// cache. Every simulation in this repository is single-threaded and
+// deterministic, so a (Config, workload name+scale, seed) cell is
+// perfectly cacheable: repeated or overlapping sweeps from concurrent
+// clients are near-free cache hits with byte-identical payloads.
 //
-// The job-spec types here are the shared vocabulary: figures and
-// tournaments are expressible as submissions (internal/experiments
-// FigureJob/TournamentJob) and the CLIs are thin clients (Client).
+// The job-spec types here are the shared vocabulary: figures are
+// expressible as submissions (internal/experiments FigureJob) and the
+// CLIs are thin clients (Client).
 package serve
 
 import (
@@ -24,13 +23,13 @@ import (
 )
 
 // JobRequest is one sweep submission: a config matrix (workloads x
-// oversubscription points x policies x pipelines x seeds) optionally
-// extended with explicit cells for sweeps a rectangular matrix cannot
-// express (threshold and penalty sensitivity columns). The matrix
-// expands in deterministic order — workload-major, then
-// oversubscription, policy, pipeline, seed — followed by the explicit
-// cells, so identical requests always produce the identical cell list
-// (and therefore byte-identical result payloads).
+// oversubscription points x policies x seeds) optionally extended with
+// explicit cells for sweeps a rectangular matrix cannot express
+// (threshold and penalty sensitivity columns). The matrix expands in
+// deterministic order — workload-major, then oversubscription, policy,
+// seed — followed by the explicit cells, so identical requests always
+// produce the identical cell list (and therefore byte-identical result
+// payloads). Every cell keeps its base's mm pipeline (MMPipeline).
 type JobRequest struct {
 	// Name is an optional client-side label echoed in status output; it
 	// does not reach the result payload or any cache key.
@@ -47,10 +46,6 @@ type JobRequest struct {
 	// Policies are migration-policy names (disabled/baseline, always,
 	// oversub, adaptive); empty defaults to ["adaptive"].
 	Policies []string `json:"policies,omitempty"`
-	// Pipelines are mm-registry stage selections crossed with the rest
-	// of the matrix; empty defaults to the single zero spec (built-in
-	// stages).
-	Pipelines []config.PipelineSpec `json:"pipelines,omitempty"`
 	// Seeds are PolicySeed values crossed with the matrix; empty
 	// defaults to the base config's seed. A seed is a replicate label in
 	// the cell identity (and so in the cache key); no simulator stage
@@ -93,7 +88,7 @@ var defaultOversubPercents = []uint64{125}
 
 // matrixDims returns the matrix dimensions after defaulting; the
 // matrix is empty when Workloads is.
-func (r *JobRequest) matrixDims(base config.Config) (pcts []uint64, policies []string, pipelines []config.PipelineSpec, seeds []uint64) {
+func (r *JobRequest) matrixDims(base config.Config) (pcts []uint64, policies []string, seeds []uint64) {
 	pcts = r.OversubPercents
 	if len(pcts) == 0 {
 		pcts = defaultOversubPercents
@@ -102,15 +97,11 @@ func (r *JobRequest) matrixDims(base config.Config) (pcts []uint64, policies []s
 	if len(policies) == 0 {
 		policies = []string{"adaptive"}
 	}
-	pipelines = r.Pipelines
-	if len(pipelines) == 0 {
-		pipelines = []config.PipelineSpec{{}}
-	}
 	seeds = r.Seeds
 	if len(seeds) == 0 {
 		seeds = []uint64{base.PolicySeed}
 	}
-	return pcts, policies, pipelines, seeds
+	return pcts, policies, seeds
 }
 
 // baseConfig returns the job-level base configuration.
@@ -127,9 +118,9 @@ func (r *JobRequest) baseConfig() config.Config {
 func (r *JobRequest) cellCount() uint64 {
 	var n uint64
 	if len(r.Workloads) > 0 {
-		pcts, policies, pipelines, seeds := r.matrixDims(r.baseConfig())
+		pcts, policies, seeds := r.matrixDims(r.baseConfig())
 		n = uint64(len(r.Workloads))
-		for _, d := range []int{len(pcts), len(policies), len(pipelines), len(seeds)} {
+		for _, d := range []int{len(pcts), len(policies), len(seeds)} {
 			n = satmath.Mul(n, uint64(d))
 		}
 	}
@@ -150,25 +141,22 @@ func (r *JobRequest) cells() ([]cell, error) {
 
 	var cells []cell
 	if len(r.Workloads) > 0 {
-		pcts, policies, pipelines, seeds := r.matrixDims(base)
+		pcts, policies, seeds := r.matrixDims(base)
 		for _, w := range r.Workloads {
 			for _, pct := range pcts {
 				for _, polName := range policies {
-					for _, spec := range pipelines {
-						for _, seed := range seeds {
-							pol, err := cliutil.ParsePolicy(polName)
-							if err != nil {
-								return nil, fmt.Errorf("serve: %v", err)
-							}
-							b := base
-							b.MMPipeline = spec
-							b.PolicySeed = seed
-							c := cell{workload: w, scale: scale, pct: pct, policy: pol, base: b}
-							if err := c.validate(); err != nil {
-								return nil, err
-							}
-							cells = append(cells, c)
+					for _, seed := range seeds {
+						pol, err := cliutil.ParsePolicy(polName)
+						if err != nil {
+							return nil, fmt.Errorf("serve: %v", err)
 						}
+						b := base
+						b.PolicySeed = seed
+						c := cell{workload: w, scale: scale, pct: pct, policy: pol, base: b}
+						if err := c.validate(); err != nil {
+							return nil, err
+						}
+						cells = append(cells, c)
 					}
 				}
 			}

@@ -219,12 +219,13 @@ func TestSubmitValidation(t *testing.T) {
 	}
 
 	// Unknown fields must be rejected, not ignored: a bogus top-level
-	// field, and the removed co-location list and pooled-tier config
-	// field, which older clients may still send.
+	// field, and the removed co-location list, pooled-tier config field
+	// and pipelines axis, which older clients may still send.
 	for name, doc := range map[string]string{
 		"unknown field":     `{"workloads":["bfs"],"bogus":1}`,
 		"colo list":         `{"colo":[{"tenants":"bfs:0:1","gpus":1}]}`,
 		"pool config field": `{"workloads":["bfs"],"base":{"CXLPoolBytes":67108864}}`,
+		"pipelines list":    `{"workloads":["bfs"],"pipelines":[{}]}`,
 	} {
 		resp, err := c.HTTPClient.Post(c.BaseURL+"/v1/jobs", "application/json", strings.NewReader(doc))
 		if err != nil {
@@ -248,14 +249,13 @@ func repeatedJob(n int) JobRequest {
 		req.Workloads = append(req.Workloads, "bfs")
 		req.OversubPercents = append(req.OversubPercents, 125)
 		req.Policies = append(req.Policies, "adaptive")
-		req.Pipelines = append(req.Pipelines, config.PipelineSpec{})
 		req.Seeds = append(req.Seeds, uint64(i))
 	}
 	return req
 }
 
 // A small request naming a huge cross-product (40 entries per list is
-// 40^5 ≈ 10^8 cells) must be rejected from the list lengths alone,
+// 40^4 = 2560000 cells) must be rejected from the list lengths alone,
 // before any cell is materialized.
 func TestSubmitRejectsHugeMatrixBeforeExpanding(t *testing.T) {
 	s := NewServer(Options{Workers: 1})
@@ -265,8 +265,8 @@ func TestSubmitRejectsHugeMatrixBeforeExpanding(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := s.Submit(req)
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "102400000 cells") {
-		t.Fatalf("Submit = %v, want a cell-limit rejection naming 102400000 cells", err)
+	if err == nil || !strings.Contains(err.Error(), "2560000 cells") {
+		t.Fatalf("Submit = %v, want a cell-limit rejection naming 2560000 cells", err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
 		t.Fatalf("rejecting the request allocated %d bytes, want at most 4 MiB", alloc)
@@ -276,7 +276,7 @@ func TestSubmitRejectsHugeMatrixBeforeExpanding(t *testing.T) {
 // The cell count saturates instead of wrapping: a cross-product past
 // 2^64 must not wrap to a small count that slips under the limit.
 func TestCellCountSaturates(t *testing.T) {
-	req := repeatedJob(1 << 13) // (2^13)^5 = 2^65
+	req := repeatedJob(1 << 17) // (2^17)^4 = 2^68
 	if n := req.cellCount(); n != math.MaxUint64 {
 		t.Fatalf("cellCount = %d, want saturation at MaxUint64", n)
 	}

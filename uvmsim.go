@@ -199,18 +199,9 @@ func RunCluster(name string, scale float64, nGPUs int, oversubPercent uint64, po
 type (
 	// ExperimentOptions configures an experiment sweep.
 	ExperimentOptions = experiments.Options
-	// TournamentOptions configures a pipeline tournament.
-	TournamentOptions = experiments.TournamentOptions
-	// TournamentResult is a ranked pipeline leaderboard.
-	TournamentResult = experiments.TournamentResult
 	// Table is a formatted experiment result.
 	Table = report.Table
 )
-
-// Tournament runs every requested migration planner over the workload
-// matrix under oversubscription and returns the deterministic
-// leaderboard ranked by total simulated cycles.
-var Tournament = experiments.Tournament
 
 // Figure and table regeneration entry points. MultiGPU runs the §VIII
 // future-work extension study.
